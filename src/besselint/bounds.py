@@ -34,8 +34,11 @@ DAY        lower     e^-gx x^v I_{v+n+3} for F(v, v+n+2);  n > -3, v > -(n+3)/2
 
 The truncated series in LOWER1/LOWER3 only ever *under*-estimates (all
 terms are positive), so any truncation level preserves the lower-bound
-direction; the reported geometric tail bound certifies how much is
-missing.
+direction; the reported tail bound certifies how much is missing.  It is
+a ratio certificate: the factor between successive terms,
+``gamma I_{v+k+1}/I_{v+k}``, decreases along the series, so the tail is at
+most the last term times ``q/(1-q)`` with ``q`` the next factor (see
+:func:`geometric_tail_series`).
 """
 
 from __future__ import annotations
@@ -142,16 +145,50 @@ def x_star(nu: float, gamma: float) -> float:
 # geometric Bessel series used by LOWER1 / LOWER3
 # ----------------------------------------------------------------------
 
+#: orders covered by the first continued-fraction seed; each later block doubles
+_FIRST_RATIO_BLOCK = 8
+
+
+def _ratio_block(lo: float, count: int, x: float) -> list[float]:
+    """``I_{m+1}(x)/I_m(x)`` for ``m = lo, lo+1, ..., lo+count-1``.
+
+    One continued fraction at the top order seeds the downward recurrence
+    ``r_{m-1} = 1/(2m/x + r_m)``, the stable direction for I.
+    """
+    r = kernel.besseli_ratio(lo + count - 1, x)
+    block = [r]
+    for i in range(count - 1, 0, -1):
+        r = 1.0 / (2.0 * (lo + i) / x + r)
+        block.append(r)
+    block.reverse()
+    return block
+
+
 def geometric_tail_series(nu: float, gamma: float, x: float,
                           series_tol: float = DEFAULT_SERIES_TOL,
                           max_terms: Optional[int] = None
                           ) -> tuple[ScaledValue, int, ScaledValue]:
-    """``sum_{k=0}^{K} gamma^k I_{nu+k+1}(x)`` with a certified tail bound.
+    """``sum_{k=0}^{K-1} gamma^k I_{nu+k+1}(x)`` with a certified tail bound.
 
-    The tail after K terms is at most ``gamma^(K+1) I_{nu+1}(x)/(1-gamma)``
-    because the orders only increase along the series.  K grows until that
-    bound drops below ``series_tol`` times the partial sum (or hits
-    ``max_terms``).  Returns ``(partial_sum, terms_used, tail_bound)``.
+    Returns ``(partial_sum, terms_used, tail_bound)`` with ``terms_used = K``.
+    Successive terms differ by the factor ``gamma r_{nu+k}``, where
+    ``r_m = I_{m+1}(x)/I_m(x)`` decreases in m for m >= 0 (Amos 1974,
+    Math. Comp. 28, 239-251; Segura 2011, J. Math. Anal. Appl. 374,
+    516-528).  Every factor after the last term is therefore at most
+    ``q = gamma r_{nu+K}``, and the tail is at most
+    ``gamma^(K-1) I_{nu+K}(x) q/(1-q)``: a geometric bound that follows the
+    decay of the orders, far below ``gamma^K I_{nu+1}(x)/(1-gamma)`` once
+    ``x`` is small against the order.
+
+    Without ``max_terms``, K grows until the tail bound drops below
+    ``series_tol`` times the partial sum.  With it, the sum has exactly
+    ``max(max_terms, 1)`` terms, fewer only when the terms underflow to
+    zero.  Every term is positive, so each truncation under-estimates.
+
+    The terms are summed as floats relative to ``I_{nu+1}(x)`` (each is at
+    most 1) and scaled by it at the end.  The ratios come in blocks of 8,
+    16, 32, ... orders, each from one continued fraction at its top order
+    and the downward recurrence below it.
     """
     if x <= 0:
         raise InvalidDomain(f"series needs x > 0, got {x}")
@@ -160,33 +197,25 @@ def geometric_tail_series(nu: float, gamma: float, x: float,
     first = kernel.besseli(nu + 1.0, x)
     if gamma == 0.0 or first.is_zero():
         return first, 1, ScaledValue.zero()
-    log_g = math.log(gamma)
-    log_tail_const = first.log_abs - math.log1p(-gamma)
-    # worst case K if the orders contributed nothing: gamma^(K+1) <= series_tol (1-gamma)
-    k_cap = int(math.ceil((math.log(series_tol) + math.log1p(-gamma) * 2) / log_g)) + 2
-    if max_terms is not None:
-        k_cap = min(k_cap, max_terms - 1)
-    k_cap = max(k_cap, 0)
-    # ratios I_{mu+1}/I_mu for mu = nu+1 .. nu+k_cap, stable downward pass
-    ratios = [0.0] * (k_cap + 1)
-    r = kernel._ratio_cf(nu + 1.0 + k_cap, x)
-    for i in range(k_cap, 0, -1):
-        r = 1.0 / (2.0 * (nu + 1.0 + i) / x + r)
-        ratios[i] = r  # = I_{nu+i+1}/I_{nu+i}
-    total = first
-    log_term = first.log_abs
+    if max_terms is None:
+        limit, stop_ratio = math.inf, series_tol
+    else:  # a fixed truncation level: stop early only once nothing is left
+        limit, stop_ratio = max(max_terms, 1), 0.0
+    ratios: list[float] = []  # ratios[k] = r_{nu+k+1}
+    block = _FIRST_RATIO_BLOCK
+    term = total = 1.0
     terms = 1
-    tail = ScaledValue.from_log(log_g + log_tail_const)
-    for k in range(1, k_cap + 1):
-        log_term += log_g + math.log(ratios[k])
-        total = total + ScaledValue.from_log(log_term)
+    while True:
+        if terms > len(ratios):
+            ratios += _ratio_block(nu + len(ratios) + 1.0, block, x)
+            block *= 2
+        q = gamma * ratios[terms - 1]
+        tail = term * q / (1.0 - q)
+        if terms >= limit or tail <= stop_ratio * total:
+            return first * total, terms, first * tail
+        term *= q
+        total += term
         terms += 1
-        tail = ScaledValue.from_log((k + 1) * log_g + log_tail_const)
-        if max_terms is None and tail.log_abs <= math.log(series_tol) + total.log_abs:
-            break
-        if max_terms is not None and terms >= max_terms:
-            break
-    return total, terms, tail
 
 
 # ----------------------------------------------------------------------

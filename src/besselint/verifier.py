@@ -190,6 +190,17 @@ def _report_from_values(ev: BoundEval, oracle: QuadResult, tol: float) -> CheckR
     )
 
 
+def _failed_report(bid: BoundId, point: Point, exc: BesselIntError) -> CheckReport:
+    """INCONCLUSIVE report for a check whose evaluation raised ``exc``."""
+    return CheckReport(
+        bound=bid, point=point, bound_value=ScaledValue.zero(),
+        oracle_value=ScaledValue.zero(), oracle_err=ScaledValue.zero(),
+        verdict=Verdict.INCONCLUSIVE, rel_margin=math.nan,
+        uncertainty=math.inf, direction=CATALOG[bid].direction_at(point),
+        reason=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def check_point(id: BoundId, point: Point, tol: float = 1e-10,
                 exploratory: bool = False) -> CheckReport:
     """Verdict for one bound at one point; oracle runs at tol/10.
@@ -249,8 +260,10 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
 
     Out-of-domain points are skipped and recorded with the violated
     hypothesis; evaluation errors become INCONCLUSIVE reports with the
-    failure reason.  Output ordering is canonical regardless of thread
-    count.
+    failure reason.  That includes an oracle row that fails (for example
+    quadrature that exhausts its panel budget): every check on that row is
+    INCONCLUSIVE with the row's error, and the rest of the sweep goes on.
+    Output ordering is canonical regardless of thread count.
     """
     oracle_tol = max(tol / 10.0, 1e-13)
     tasks: list[tuple[BoundId, Point]] = []
@@ -277,13 +290,18 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
         spec = CATALOG[bid].integrand(point)
         rows.setdefault((spec.mu, spec.ord, spec.gamma), set()).add(spec.x)
 
-    oracle_cache: dict[tuple[float, float, float, float], QuadResult] = {}
+    oracle_cache: dict[tuple[float, float, float, float], QuadResult | BesselIntError] = {}
 
     def eval_row(item):
+        # a failed row stores its error in place of each result, so that only
+        # the checks that need that row turn INCONCLUSIVE
         (mu, ordv, gamma), xset = item
         xs = sorted(xset)
-        return [((mu, ordv, gamma, x), qr)
-                for x, qr in zip(xs, cumulative_bessel_integral(mu, ordv, gamma, xs, oracle_tol))]
+        try:
+            results = cumulative_bessel_integral(mu, ordv, gamma, xs, oracle_tol)
+        except BesselIntError as exc:
+            results = [exc] * len(xs)
+        return [((mu, ordv, gamma, x), qr) for x, qr in zip(xs, results)]
 
     row_items = sorted(rows.items())
     if threads and threads > 1:
@@ -297,21 +315,18 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
     reports: list[CheckReport] = []
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}
     for bid, point in tasks:
-        try:
-            ev = bound_value(bid, nu=point.nu, n=point.n, mu=point.mu,
-                             gamma=point.gamma, x=point.x,
-                             series_tol=series_tol, check_domain=False)
-            spec = CATALOG[bid].integrand(point)
-            oracle = oracle_cache[(spec.mu, spec.ord, spec.gamma, spec.x)]
-            report = _report_from_values(ev, oracle, tol)
-        except BesselIntError as exc:
-            report = CheckReport(
-                bound=bid, point=point, bound_value=ScaledValue.zero(),
-                oracle_value=ScaledValue.zero(), oracle_err=ScaledValue.zero(),
-                verdict=Verdict.INCONCLUSIVE, rel_margin=math.nan,
-                uncertainty=math.inf, direction=CATALOG[bid].direction_at(point),
-                reason=f"{type(exc).__name__}: {exc}",
-            )
+        spec = CATALOG[bid].integrand(point)
+        oracle = oracle_cache[(spec.mu, spec.ord, spec.gamma, spec.x)]
+        if isinstance(oracle, BesselIntError):
+            report = _failed_report(bid, point, oracle)
+        else:
+            try:
+                ev = bound_value(bid, nu=point.nu, n=point.n, mu=point.mu,
+                                 gamma=point.gamma, x=point.x,
+                                 series_tol=series_tol, check_domain=False)
+                report = _report_from_values(ev, oracle, tol)
+            except BesselIntError as exc:
+                report = _failed_report(bid, point, exc)
         reports.append(report)
         counts[report.verdict.value] += 1
 

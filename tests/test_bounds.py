@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 
 from besselint.bounds import (
@@ -16,6 +17,7 @@ from besselint.errors import InvalidDomain
 from besselint.kernel import besseli
 from besselint.oracle import bessel_integral
 from besselint.scaled import ScaledValue
+from besselint.verifier import default_grid
 
 from conftest import sv_relerr
 
@@ -178,11 +180,48 @@ class TestSeriesBounds:
                 assert prev <= ev.value
             prev = ev.value
 
-    def test_tail_formula(self):
-        nu, gamma, x = 0.5, 0.7, 5.0
-        total, terms, tail = geometric_tail_series(nu, gamma, x, max_terms=7)
-        expected = (gamma ** 7) * besseli(nu + 1.0, x).to_float() / (1.0 - gamma)
-        assert tail.to_float() == pytest.approx(expected, rel=1e-12)
+    def test_tail_certificate_brackets_true_tail(self):
+        # (nu, gamma, x, max_terms): both ends of the grid's x range at
+        # gamma = 0.99, forced truncations and certified stops
+        cases = [
+            (0.0, 0.99, 1e-3, None), (0.0, 0.99, 200.0, None),
+            (-0.49, 0.99, 200.0, 3), (0.0, 0.99, 1e-3, 1),
+            (0.5, 0.7, 5.0, 7), (2.5, 0.7, 5.0, None),
+            (10.0, 0.1, 1e-3, 1), (-0.49, 0.5, 1.0, 10),
+            (10.0, 0.99, 200.0, 10), (-0.9, 0.3, 50.0, None),
+        ]
+        for nu, gamma, x, max_terms in cases:
+            total, terms, tail = geometric_tail_series(nu, gamma, x, max_terms=max_terms)
+            # the true tail sum_{k >= K} gamma^k I_{nu+k+1}(x), summed with mpmath
+            true_tail, k = mp.mpf(0), terms
+            while True:
+                t = mp.mpf(gamma) ** k * mp.besseli(nu + k + 1, x)
+                true_tail += t
+                if t < mp.mpf("1e-30") * true_tail:
+                    break
+                k += 1
+            loose = gamma ** terms * mp.besseli(nu + 1, x) / (1 - gamma)
+            bound = mp.e ** mp.mpf(tail.log_abs)
+            case = (nu, gamma, x, max_terms, terms)
+            assert true_tail <= bound, case
+            assert bound <= loose, case
+            if max_terms is not None:
+                assert terms == max_terms, case
+            else:
+                assert (tail / total).to_float() <= 1e-12, case
+        # the old bound needed about 3 200 terms here
+        assert geometric_tail_series(0.0, 0.99, 1e-3)[1] <= 10
+
+    def test_ratio_decreases_in_order(self):
+        # the certificate rests on I_{m+1}(x)/I_m(x) decreasing in m; check it
+        # with mpmath over the grid's x values and every order the series reaches
+        g = default_grid()
+        for nu in g.nu_values:
+            for x in g.x_values:
+                reach = max(geometric_tail_series(nu, gamma, x)[1] for gamma in g.gamma_values)
+                i_m = [mp.besseli(nu + 1 + j, x) for j in range(reach + 2)]
+                ratios = [b / a for a, b in zip(i_m, i_m[1:])]  # r_{nu+1} .. r_{nu+K+1}
+                assert all(b < a for a, b in zip(ratios, ratios[1:])), (nu, x)
 
     def test_tail_below_series_tol(self):
         for gamma in (0.3, 0.9):

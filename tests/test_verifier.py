@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from besselint.bounds import BoundId, Direction, Point
-from besselint.errors import InvalidDomain, NotFound
+from besselint.bounds import CATALOG, BoundId, Direction, Point
+from besselint import verifier
+from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.verifier import (
     CheckReport,
     Grid,
@@ -84,6 +85,39 @@ class TestSweep:
         a = sweep([BoundId.MAIN, BoundId.LOWER4], g, threads=None)
         b = sweep([BoundId.MAIN, BoundId.LOWER4], g, threads=4)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_failed_oracle_row_is_inconclusive(self, monkeypatch, threads):
+        g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
+                 x_values=(1.0, 20.0))
+        ids = [BoundId.MAIN, BoundId.LOWER1, BoundId.LOWER3]
+        clean = sweep(ids, g, threads=threads)
+        bad_row = (1.0, 1.0, 0.5)  # F(1, 1) at gamma = 0.5: MAIN and LOWER3 use it
+        real = verifier.cumulative_bessel_integral
+
+        def failing(mu, ordv, gamma, xs, tol):
+            if (mu, ordv, gamma) == bad_row:
+                raise NonConvergence("adaptive quadrature exhausted its panels")
+            return real(mu, ordv, gamma, xs, tol)
+
+        monkeypatch.setattr(verifier, "cumulative_bessel_integral", failing)
+        res = sweep(ids, g, threads=threads)
+        assert len(res.reports) == len(clean.reports)
+        on_row = 0
+        for r, c in zip(res.reports, clean.reports):
+            assert (r.bound, r.point) == (c.bound, c.point)
+            spec = CATALOG[r.bound].integrand(r.point)
+            if (spec.mu, spec.ord, spec.gamma) == bad_row:
+                on_row += 1
+                assert r.verdict is Verdict.INCONCLUSIVE
+                assert r.reason.startswith("NonConvergence: adaptive quadrature")
+            else:
+                assert r == c
+        assert on_row == 4  # MAIN and LOWER3 at x = 1 and x = 20
+        assert sum(res.counts.values()) == len(res.reports)
+        for verdict in Verdict:
+            assert res.counts[verdict.value] == sum(
+                r.verdict is verdict for r in res.reports)
 
 
 class TestTables:
