@@ -4,6 +4,11 @@ Verbs: ``eval``, ``bound``, ``check``, ``sweep``, ``table``, ``tightness``,
 ``crossover``.  Output is JSON (default) or CSV; magnitudes are rendered
 as (sign, log_abs) pairs plus a plain decimal whenever |log_abs| < 700.
 
+Each verb's handler gets arguments already validated by argparse, does the
+work and returns ``(parameters, body, csv_header, csv_rows, exit_code)``;
+``body`` builds the JSON members on call and ``csv_rows`` is lazy, so neither
+format pays for the other.  :func:`run` is the only place that writes output.
+
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
 VIOLATED, 2 usage error, 3 numerical failure.
 """
@@ -13,17 +18,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
 from .bounds import BoundId, Point, bound_value
-from .errors import BesselIntError, InvalidDomain, NonConvergence, NotFound
+from .errors import BesselIntError, InvalidDomain
 from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral
 from .scaled import ScaledValue
 from .verifier import (
     Grid,
     Verdict,
-    _sv_dict,
     check_point,
     default_grid,
     find_crossover,
@@ -56,6 +61,24 @@ def _bound_id(text: str) -> BoundId:
         raise argparse.ArgumentTypeError(f"unknown bound {text!r}; choose from: {names}")
 
 
+def _bound_list(text: str) -> list[BoundId]:
+    if text.strip().lower() == "all":
+        return list(BoundId)
+    return [_bound_id(tok) for tok in text.split(",") if tok]
+
+
+def _x_logspace(text: str) -> list[float]:
+    try:
+        lo, hi, count = text.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO,HI,COUNT, got {text!r}")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and count >= 1):
+        raise argparse.ArgumentTypeError(
+            f"needs finite LO > 0 and HI > 0 and COUNT >= 1, got {text!r}")
+    return list(logspace(lo, hi, count))
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -75,7 +98,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, default_format="json"):
+    def add_point(p):
+        p.add_argument("--bound", type=_bound_id, required=True)
+        p.add_argument("--nu", type=float, required=True)
+        p.add_argument("--n", type=float, default=0.0)
+        p.add_argument("--mu", type=float, default=None)
+        p.add_argument("--gamma", type=float, default=0.0)
+
+    def add_common(p, handler, default_format="json"):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--tol", type=_tolerance, default=1e-10,
                        help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
@@ -85,78 +116,54 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ord", type=float, required=True, dest="ord_")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    add_common(p)
+    add_common(p, _eval)
 
     p = sub.add_parser("bound", help="closed-form bound value at a point")
-    p.add_argument("--bound", type=_bound_id, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--n", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+    add_point(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--series-tol", type=float, default=1e-12)
-    add_common(p)
+    add_common(p, _bound)
 
     p = sub.add_parser("check", help="verdict for one bound at one point")
-    p.add_argument("--bound", type=_bound_id, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--n", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+    add_point(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--exploratory", action="store_true",
                    help="skip the hypothesis check and probe anyway")
-    add_common(p)
+    add_common(p, _check)
 
     p = sub.add_parser("sweep", help="certification sweep over a parameter grid")
-    p.add_argument("--bounds", default="all",
+    p.add_argument("--bounds", type=_bound_list, default="all",
                    help="comma-separated bound ids, or 'all'")
     p.add_argument("--nu", type=_float_list, default=None)
     p.add_argument("--gamma", type=_float_list, default=None)
     p.add_argument("--x", type=_float_list, default=None)
-    p.add_argument("--x-logspace", default=None, metavar="LO,HI,COUNT",
-                   help="log-spaced x grid, e.g. 1e-3,200,24")
+    p.add_argument("--x-logspace", type=_x_logspace, default=None,
+                   metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
     p.add_argument("--n", type=_float_list, default=None)
     p.add_argument("--mu", type=_float_list, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    add_common(p)
+    add_common(p, _sweep)
 
     p = sub.add_parser("table", help="relative-error table of the two-sided enclosure")
     p.add_argument("--bound", type=_bound_id, required=True)
     p.add_argument("--nu", type=_float_list, required=True)
     p.add_argument("--x", type=_float_list, required=True)
-    add_common(p, default_format="csv")
+    add_common(p, _table, default_format="csv")
 
     p = sub.add_parser("tightness", help="bound/oracle ratios along an x sequence")
-    p.add_argument("--bound", type=_bound_id, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--n", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=0.0)
+    add_point(p)
     p.add_argument("--x", type=_float_list, default=None)
-    p.add_argument("--x-logspace", default=None, metavar="LO,HI,COUNT")
-    add_common(p)
+    p.add_argument("--x-logspace", type=_x_logspace, default=None,
+                   metavar="LO,HI,COUNT")
+    add_common(p, _tightness)
 
     p = sub.add_parser("crossover", help="abscissa where the PROP1 comparison flips")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--x-max", type=float, default=500.0)
-    add_common(p)
+    add_common(p, _crossover)
 
     return parser
-
-
-def _xs_from_args(args) -> list[float]:
-    if getattr(args, "x_logspace", None):
-        parts = args.x_logspace.split(",")
-        if len(parts) != 3:
-            raise InvalidDomain("--x-logspace expects LO,HI,COUNT")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(logspace(lo, hi, count))
-    if getattr(args, "x", None):
-        return list(args.x)
-    raise InvalidDomain("one of --x or --x-logspace is required")
 
 
 def _fmt(value: float) -> str:
@@ -164,14 +171,9 @@ def _fmt(value: float) -> str:
 
 
 def _sv_csv_fields(v: ScaledValue) -> list[str]:
-    d = _sv_dict(v)
+    d = v.to_dict()
     return [str(d["sign"]), _fmt(d["log_abs"]),
             "" if d["decimal"] is None else _fmt(d["decimal"])]
-
-
-def _emit_json(payload: dict, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=False, allow_nan=True)
-    out.write("\n")
 
 
 def _report_csv_row(r) -> list[str]:
@@ -201,213 +203,152 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join ``--flag -0.25,...`` into ``--flag=-0.25,...`` so argparse does
     not mistake negative numbers for option names."""
     merged: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok.startswith("--") and "=" not in tok and nxt is not None
-                and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == ".")):
-            merged.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        prev = merged[-1] if merged else ""
+        if (prev.startswith("--") and "=" not in prev and len(tok) > 1
+                and tok[0] == "-" and (tok[1].isdigit() or tok[1] == ".")):
+            merged[-1] = f"{prev}={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
 def run(argv: Optional[list[str]] = None, out=None) -> int:
     """Parse argv, execute, write to ``out`` (default stdout), return exit code."""
     out = out if out is not None else sys.stdout
-    parser = _parser()
     try:
-        args = parser.parse_args(_merge_negative_values(
+        args = _parser().parse_args(_merge_negative_values(
             list(argv) if argv is not None else sys.argv[1:]))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        return _dispatch(args, out)
-    except (InvalidDomain, NotFound, NonConvergence, BesselIntError) as exc:
+        parameters, body, csv_header, csv_rows, code = args.handler(args)
+    except BesselIntError as exc:
         print(f"besselint {args.verb}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, InvalidDomain):
-            return EXIT_USAGE
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, InvalidDomain) else EXIT_NUMERICAL
+
+    if args.format == "json":
+        json.dump({"command": args.verb, "parameters": parameters, **body()},
+                  out, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.writer(out)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+    return code
 
 
-def _dispatch(args, out) -> int:
-    verb = args.verb
-
-    if verb == "eval":
-        spec = IntegralSpec(args.mu, args.ord_, args.gamma, args.x)
-        result = bessel_integral(spec, args.tol)
-        payload = {
-            "command": "eval",
-            "parameters": {"mu": args.mu, "ord": args.ord_, "gamma": args.gamma,
-                           "x": args.x, "tol": args.tol},
-            "results": [{
-                "value": _sv_dict(result.value),
-                "abs_err": _sv_dict(result.abs_err),
-                "segments": result.segments,
-                "converged": result.converged,
-            }],
-            "summary": {"converged": result.converged},
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(["value_sign", "value_log_abs", "value_decimal",
-                        "err_sign", "err_log_abs", "err_decimal",
-                        "segments", "converged"])
-            w.writerow([*_sv_csv_fields(result.value), *_sv_csv_fields(result.abs_err),
-                        result.segments, result.converged])
-        return EXIT_OK if result.converged else EXIT_NUMERICAL
-
-    if verb == "bound":
-        ev = bound_value(args.bound, nu=args.nu, n=args.n, mu=args.mu,
-                         gamma=args.gamma, x=args.x, series_tol=args.series_tol)
-        payload = {
-            "command": "bound",
-            "parameters": {"bound": args.bound.value, "nu": args.nu, "n": args.n,
-                           "mu": args.mu, "gamma": args.gamma, "x": args.x,
-                           "series_tol": args.series_tol},
-            "results": [{
-                "value": _sv_dict(ev.value),
-                "direction": ev.direction.value,
-                "truncation_terms": ev.truncation_terms,
-                "tail_bound": _sv_dict(ev.tail_bound),
-            }],
-            "summary": {"direction": ev.direction.value},
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(["value_sign", "value_log_abs", "value_decimal",
-                        "direction", "truncation_terms",
-                        "tail_sign", "tail_log_abs", "tail_decimal"])
-            w.writerow([*_sv_csv_fields(ev.value), ev.direction.value,
-                        ev.truncation_terms, *_sv_csv_fields(ev.tail_bound)])
-        return EXIT_OK
-
-    if verb == "check":
-        point = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=args.x)
-        report = check_point(args.bound, point, tol=args.tol,
-                             exploratory=args.exploratory)
-        payload = {
-            "command": "check",
-            "parameters": {"bound": args.bound.value, **_point_params(point),
-                           "tol": args.tol, "exploratory": args.exploratory},
-            "results": [report.to_dict()],
-            "summary": {"verdict": report.verdict.value},
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(_REPORT_HEADER)
-            w.writerow(_report_csv_row(report))
-        return EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK
-
-    if verb == "sweep":
-        if args.bounds.strip().lower() == "all":
-            ids = list(BoundId)
-        else:
-            ids = [_bound_id(tok) for tok in args.bounds.split(",") if tok]
-        base = default_grid()
-        xs = None
-        if args.x_logspace or args.x:
-            xs = tuple(_xs_from_args(args))
-        grid = Grid(
-            nu_values=tuple(args.nu) if args.nu else base.nu_values,
-            gamma_values=tuple(args.gamma) if args.gamma else base.gamma_values,
-            x_values=xs if xs is not None else base.x_values,
-            n_values=tuple(args.n) if args.n else base.n_values,
-            mu_values=tuple(args.mu) if args.mu else base.mu_values,
-        )
-        result = sweep(ids, grid, tol=args.tol, threads=args.threads)
-        payload = {
-            "command": "sweep",
-            "parameters": {
-                "bounds": [b.value for b in sorted(set(ids), key=lambda b: b.value)],
-                "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
-                "x": list(grid.x_values), "n": list(grid.n_values),
-                "mu": list(grid.mu_values), "tol": args.tol,
-            },
-            **result.to_dict(),
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(_REPORT_HEADER)
-            for r in result.reports:
-                w.writerow(_report_csv_row(r))
-        return EXIT_VIOLATED if result.counts["violated"] else EXIT_OK
-
-    if verb == "table":
-        table = relative_error_table(args.bound, args.nu, args.x, tol=args.tol)
-        if args.format == "json":
-            payload = {
-                "command": "table",
-                "parameters": {"bound": args.bound.value, "nu": list(args.nu),
-                               "x": list(args.x), "tol": args.tol},
-                "results": table.to_dict()["entries"],
-                "summary": {"nu_values": list(args.nu), "x_values": list(args.x)},
-            }
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(["nu"] + [_fmt(x) for x in table.x_values])
-            for nu, row in zip(table.nu_values, table.entries):
-                w.writerow([_fmt(nu)] + [f"{v:.4f}" for v in row])
-        return EXIT_OK
-
-    if verb == "tightness":
-        xs = _xs_from_args(args)
-        template = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma,
-                         x=xs[0])
-        ratios = tightness_scan(args.bound, template, xs, tol=args.tol)
-        payload = {
-            "command": "tightness",
-            "parameters": {"bound": args.bound.value, "nu": args.nu, "n": args.n,
-                           "mu": args.mu, "gamma": args.gamma, "x": xs,
-                           "tol": args.tol},
-            "results": [{"x": x, "ratio": r} for x, r in zip(xs, ratios)],
-            "summary": {"final_ratio": ratios[-1] if ratios else None},
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(["x", "ratio"])
-            for x, r in zip(xs, ratios):
-                w.writerow([_fmt(x), _fmt(r)])
-        return EXIT_OK
-
-    if verb == "crossover":
-        xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max,
-                               tol=max(args.tol / 10.0, TOL_MIN))
-        payload = {
-            "command": "crossover",
-            "parameters": {"mu": args.mu, "nu": args.nu, "gamma": args.gamma,
-                           "x_max": args.x_max, "tol": args.tol},
-            "results": [{"crossover": xstar}],
-            "summary": {"found": xstar is not None},
-        }
-        if args.format == "json":
-            _emit_json(payload, out)
-        else:
-            w = csv.writer(out)
-            w.writerow(["crossover"])
-            w.writerow(["" if xstar is None else _fmt(xstar)])
-        return EXIT_OK
-
-    raise InvalidDomain(f"unknown verb {verb!r}")
+def _eval(args):
+    result = bessel_integral(IntegralSpec(args.mu, args.ord_, args.gamma, args.x), args.tol)
+    return (
+        {"mu": args.mu, "ord": args.ord_, "gamma": args.gamma, "x": args.x, "tol": args.tol},
+        lambda: {"results": [{"value": result.value.to_dict(),
+                              "abs_err": result.abs_err.to_dict(),
+                              "segments": result.segments, "converged": result.converged}],
+                 "summary": {"converged": result.converged}},
+        ["value_sign", "value_log_abs", "value_decimal",
+         "err_sign", "err_log_abs", "err_decimal", "segments", "converged"],
+        ([*_sv_csv_fields(r.value), *_sv_csv_fields(r.abs_err), r.segments, r.converged]
+         for r in [result]),
+        EXIT_OK if result.converged else EXIT_NUMERICAL,
+    )
 
 
-def _point_params(p: Point) -> dict:
-    return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
+def _bound(args):
+    ev = bound_value(args.bound, nu=args.nu, n=args.n, mu=args.mu,
+                     gamma=args.gamma, x=args.x, series_tol=args.series_tol)
+    return (
+        {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
+         "gamma": args.gamma, "x": args.x, "series_tol": args.series_tol},
+        lambda: {"results": [{"value": ev.value.to_dict(), "direction": ev.direction.value,
+                              "truncation_terms": ev.truncation_terms,
+                              "tail_bound": ev.tail_bound.to_dict()}],
+                 "summary": {"direction": ev.direction.value}},
+        ["value_sign", "value_log_abs", "value_decimal", "direction",
+         "truncation_terms", "tail_sign", "tail_log_abs", "tail_decimal"],
+        ([*_sv_csv_fields(e.value), e.direction.value, e.truncation_terms,
+          *_sv_csv_fields(e.tail_bound)] for e in [ev]),
+        EXIT_OK,
+    )
+
+
+def _check(args):
+    point = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=args.x)
+    report = check_point(args.bound, point, tol=args.tol, exploratory=args.exploratory)
+    return (
+        {"bound": args.bound.value, "nu": point.nu, "n": point.n, "mu": point.mu,
+         "gamma": point.gamma, "x": point.x, "tol": args.tol, "exploratory": args.exploratory},
+        lambda: {"results": [report.to_dict()], "summary": {"verdict": report.verdict.value}},
+        _REPORT_HEADER,
+        map(_report_csv_row, [report]),
+        EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK,
+    )
+
+
+def _sweep(args):
+    base = default_grid()
+    grid = Grid(
+        nu_values=tuple(args.nu) if args.nu else base.nu_values,
+        gamma_values=tuple(args.gamma) if args.gamma else base.gamma_values,
+        x_values=tuple(args.x_logspace or args.x or base.x_values),
+        n_values=tuple(args.n) if args.n else base.n_values,
+        mu_values=tuple(args.mu) if args.mu else base.mu_values,
+    )
+    result = sweep(args.bounds, grid, tol=args.tol)
+    return (
+        {"bounds": [b.value for b in sorted(set(args.bounds), key=lambda b: b.value)],
+         "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
+         "x": list(grid.x_values), "n": list(grid.n_values),
+         "mu": list(grid.mu_values), "tol": args.tol},
+        result.to_dict,
+        _REPORT_HEADER,
+        map(_report_csv_row, result.reports),
+        EXIT_VIOLATED if result.counts["violated"] else EXIT_OK,
+    )
+
+
+def _table(args):
+    table = relative_error_table(args.bound, args.nu, args.x, tol=args.tol)
+    return (
+        {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x), "tol": args.tol},
+        lambda: {"results": [list(row) for row in table.entries],
+                 "summary": {"nu_values": list(args.nu), "x_values": list(args.x)}},
+        ["nu"] + [_fmt(x) for x in table.x_values],
+        ([_fmt(nu)] + [f"{v:.4f}" for v in row]
+         for nu, row in zip(table.nu_values, table.entries)),
+        EXIT_OK,
+    )
+
+
+def _tightness(args):
+    xs = args.x_logspace or args.x
+    if not xs:
+        raise InvalidDomain("one of --x or --x-logspace is required")
+    template = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=xs[0])
+    ratios = tightness_scan(args.bound, template, xs, tol=args.tol)
+    return (
+        {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
+         "gamma": args.gamma, "x": xs, "tol": args.tol},
+        lambda: {"results": [{"x": x, "ratio": r} for x, r in zip(xs, ratios)],
+                 "summary": {"final_ratio": ratios[-1]}},
+        ["x", "ratio"],
+        ([_fmt(x), _fmt(r)] for x, r in zip(xs, ratios)),
+        EXIT_OK,
+    )
+
+
+def _crossover(args):
+    xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max,
+                           tol=max(args.tol / 10.0, TOL_MIN))
+    return (
+        {"mu": args.mu, "nu": args.nu, "gamma": args.gamma, "x_max": args.x_max,
+         "tol": args.tol},
+        lambda: {"results": [{"crossover": xstar}], "summary": {"found": xstar is not None}},
+        ["crossover"],
+        (["" if x is None else _fmt(x)] for x in [xstar]),
+        EXIT_OK,
+    )
 
 
 def main() -> int:

@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
-from .scaled import ScaledValue
+from .scaled import ScaledValue, signed_logsum
 
 __all__ = [
     "besseli",
@@ -37,6 +37,8 @@ __all__ = [
     "besseli_ratio",
     "asym_small",
     "asym_large",
+    "gamma_sign",
+    "is_nonpositive_int",
     "ACCURACY_SMALL_X",
     "ACCURACY_LARGE_X",
 ]
@@ -50,32 +52,15 @@ _SERIES_SWITCH = 18.5
 _LOG2 = math.log(2.0)
 
 
-def _gamma_sign(a: float) -> int:
+def gamma_sign(a: float) -> int:
     """Sign of Gamma(a) for non-pole a."""
     if a > 0:
         return 1
     return -1 if math.floor(a) % 2 else 1
 
 
-def _is_nonpositive_int(a: float) -> bool:
+def is_nonpositive_int(a: float) -> bool:
     return a <= 0 and a == math.floor(a)
-
-
-def _signed_logsum(pos, neg) -> ScaledValue:
-    """Combine log-magnitude term lists of either sign into one value."""
-
-    def lse(logs):
-        if not logs:
-            return -math.inf
-        m = max(logs)
-        return m + math.log(math.fsum(math.exp(v - m) for v in logs))
-
-    lp, ln = lse(pos), lse(neg)
-    if ln == -math.inf:
-        return ScaledValue.from_log(lp) if lp > -math.inf else ScaledValue.zero()
-    if lp == -math.inf:
-        return ScaledValue.from_log(ln, -1)
-    return ScaledValue.from_log(lp) - ScaledValue.from_log(ln)
 
 
 def _besseli_series(order: float, x: float) -> ScaledValue:
@@ -87,14 +72,14 @@ def _besseli_series(order: float, x: float) -> ScaledValue:
     k = 0
     while k <= 20000:
         a = order + k + 1
-        if not _is_nonpositive_int(a):
+        if not is_nonpositive_int(a):
             lt = (order + 2 * k) * lh - math.lgamma(k + 1) - math.lgamma(a)
-            (pos if _gamma_sign(a) > 0 else neg).append(lt)
+            (pos if gamma_sign(a) > 0 else neg).append(lt)
             if lt > best:
                 best = lt
             # past the peak (term ratio < 1/2) and 40 nats down: converged
             if lt < best - 40.0 and x2_4 < 0.5 * (k + 1) * abs(a):
-                return _signed_logsum(pos, neg)
+                return signed_logsum(pos, neg)
         k += 1
     raise NonConvergence(f"I power series stalled at order={order}, x={x}")
 
@@ -262,7 +247,7 @@ def asym_small(order: float, x: float) -> float:
         raise InvalidOrder(f"negative integer order {order} is not supported")
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    lead = math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0)) * _gamma_sign(order + 1.0)
+    lead = math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0)) * gamma_sign(order + 1.0)
     return lead * (1.0 + x * x / (4.0 * (order + 1.0)))
 
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 from . import kernel
 from .errors import InvalidDomain, NonConvergence
-from .scaled import ScaledValue
+from .scaled import ScaledValue, signed_logsum
 
 __all__ = [
     "IntegralSpec",
@@ -124,7 +124,7 @@ def _series_segment(mu: float, order: float, gamma: float, eps: float) -> Scaled
     best = -math.inf
     for k in range(400):
         a = order + k + 1
-        if kernel._is_nonpositive_int(a):
+        if kernel.is_nonpositive_int(a):
             continue
         log_amp = -(order + 2 * k) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(a)
         p = mu + order + 2 * k + 1
@@ -137,12 +137,12 @@ def _series_segment(mu: float, order: float, gamma: float, eps: float) -> Scaled
             if abs(c) <= 1e-18 * abs(t_sum) * (p + j):
                 break
         lt = log_amp + p * log_eps + math.log(abs(t_sum))
-        sgn = kernel._gamma_sign(a) * (1 if t_sum > 0 else -1)
+        sgn = kernel.gamma_sign(a) * (1 if t_sum > 0 else -1)
         (pos if sgn > 0 else neg).append(lt)
         if lt > best:
             best = lt
         if k >= 2 and lt < best - 45.0:
-            return kernel._signed_logsum(pos, neg)
+            return signed_logsum(pos, neg)
     raise NonConvergence(
         f"series segment stalled for mu={mu}, ord={order}, gamma={gamma}, eps={eps}"
     )

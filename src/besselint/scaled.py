@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ScaledValue"]
+__all__ = ["ScaledValue", "signed_logsum"]
 
 #: values with |log| below this render as a plain float without overflow
 _FLOAT_SAFE_LOG = 700.0
@@ -71,6 +71,20 @@ class ScaledValue:
         if self.log_abs < -745.0:
             return 0.0
         return self.sign * math.exp(self.log_abs)
+
+    def to_dict(self) -> dict:
+        """``{sign, log_abs, decimal}``; ``decimal`` is None unless the value
+        renders as a plain float, i.e. ``|log_abs| < 700``."""
+        return {
+            "sign": self.sign,
+            "log_abs": self.log_abs,
+            "decimal": self.to_float() if abs(self.log_abs) < _FLOAT_SAFE_LOG else None,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "ScaledValue":
+        """Inverse of :meth:`to_dict`; ``decimal`` is ignored."""
+        return ScaledValue(int(d["sign"]), float(d["log_abs"]))
 
     def rel_gap(self, other: "ScaledValue") -> float:
         """|self - other| / max(|self|, |other|); 0.0 when both are zero."""
@@ -167,6 +181,23 @@ class ScaledValue:
         if self.sign == 0:
             return "ScaledValue(0)"
         return f"ScaledValue(sign={self.sign:+d}, log_abs={self.log_abs!r})"
+
+
+def signed_logsum(pos, neg) -> ScaledValue:
+    """Combine log-magnitude term lists of either sign into one value."""
+
+    def lse(logs):
+        if not logs:
+            return -math.inf
+        m = max(logs)
+        return m + math.log(math.fsum(math.exp(v - m) for v in logs))
+
+    lp, ln = lse(pos), lse(neg)
+    if ln == -math.inf:
+        return ScaledValue.from_log(lp) if lp > -math.inf else ScaledValue.zero()
+    if lp == -math.inf:
+        return ScaledValue.from_log(ln, -1)
+    return ScaledValue.from_log(lp) - ScaledValue.from_log(ln)
 
 
 def _coerce(value) -> ScaledValue:

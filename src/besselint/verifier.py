@@ -16,7 +16,6 @@ one integral per group.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -65,18 +64,6 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _sv_dict(v: ScaledValue) -> dict:
-    return {
-        "sign": v.sign,
-        "log_abs": v.log_abs,
-        "decimal": v.to_float() if abs(v.log_abs) < 700.0 else None,
-    }
-
-
-def _sv_from_dict(d: dict) -> ScaledValue:
-    return ScaledValue(int(d["sign"]), float(d["log_abs"]))
-
-
 def _point_dict(p: Point) -> dict:
     return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
 
@@ -105,9 +92,9 @@ class CheckReport:
         return {
             "bound": self.bound.value,
             "point": _point_dict(self.point),
-            "bound_value": _sv_dict(self.bound_value),
-            "oracle_value": _sv_dict(self.oracle_value),
-            "oracle_err": _sv_dict(self.oracle_err),
+            "bound_value": self.bound_value.to_dict(),
+            "oracle_value": self.oracle_value.to_dict(),
+            "oracle_err": self.oracle_err.to_dict(),
             "verdict": self.verdict.value,
             "rel_margin": self.rel_margin,
             "uncertainty": self.uncertainty,
@@ -120,9 +107,9 @@ class CheckReport:
         return CheckReport(
             bound=BoundId(d["bound"]),
             point=_point_from_dict(d["point"]),
-            bound_value=_sv_from_dict(d["bound_value"]),
-            oracle_value=_sv_from_dict(d["oracle_value"]),
-            oracle_err=_sv_from_dict(d["oracle_err"]),
+            bound_value=ScaledValue.from_dict(d["bound_value"]),
+            oracle_value=ScaledValue.from_dict(d["oracle_value"]),
+            oracle_err=ScaledValue.from_dict(d["oracle_err"]),
             verdict=Verdict(d["verdict"]),
             rel_margin=float(d["rel_margin"]),
             uncertainty=float(d["uncertainty"]),
@@ -254,7 +241,6 @@ def default_grid() -> Grid:
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
-          threads: Optional[int] = None,
           series_tol: float = DEFAULT_SERIES_TOL) -> SweepResult:
     """Check every bound at every valid grid point.
 
@@ -263,7 +249,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
     failure reason.  That includes an oracle row that fails (for example
     quadrature that exhausts its panel budget): every check on that row is
     INCONCLUSIVE with the row's error, and the rest of the sweep goes on.
-    Output ordering is canonical regardless of thread count.
+    Output ordering is canonical regardless of the order of ``ids``.
     """
     oracle_tol = max(tol / 10.0, 1e-13)
     tasks: list[tuple[BoundId, Point]] = []
@@ -291,26 +277,15 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
         rows.setdefault((spec.mu, spec.ord, spec.gamma), set()).add(spec.x)
 
     oracle_cache: dict[tuple[float, float, float, float], QuadResult | BesselIntError] = {}
-
-    def eval_row(item):
-        # a failed row stores its error in place of each result, so that only
-        # the checks that need that row turn INCONCLUSIVE
-        (mu, ordv, gamma), xset = item
+    for (mu, ordv, gamma), xset in sorted(rows.items()):
         xs = sorted(xset)
         try:
             results = cumulative_bessel_integral(mu, ordv, gamma, xs, oracle_tol)
         except BesselIntError as exc:
+            # a failed row stores its error in place of each result, so that
+            # only the checks that need that row turn INCONCLUSIVE
             results = [exc] * len(xs)
-        return [((mu, ordv, gamma, x), qr) for x, qr in zip(xs, results)]
-
-    row_items = sorted(rows.items())
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(eval_row, row_items):
-                oracle_cache.update(chunk)
-    else:
-        for item in row_items:
-            oracle_cache.update(eval_row(item))
+        oracle_cache.update(((mu, ordv, gamma, x), qr) for x, qr in zip(xs, results))
 
     reports: list[CheckReport] = []
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}

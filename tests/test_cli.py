@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -105,6 +106,18 @@ class TestUsageErrors:
         code, _, _ = invoke(["eval", "--mu", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--bounds", "nope"),
+        ("--x-logspace", "1,10,abc"),
+        ("--x-logspace", "0,10,3"),
+    ])
+    def test_bad_sweep_grid_flag(self, flag, value):
+        argv = ["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0", "--x", "1"]
+        code, out, err = invoke(argv + [flag, value])
+        assert code == 2  # not 1, which would read as a VIOLATED bound
+        assert out == ""
+        assert f"argument {flag}" in err
+
 
 class TestSweepVerb:
     def test_small_sweep_json(self):
@@ -171,6 +184,99 @@ class TestTightnessVerb:
         assert lines[0] == "x,ratio"
         ratios = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def _both_formats(argv):
+    """Run ``argv`` as JSON and as CSV; return the document and the CSV rows."""
+    code, text, _ = invoke(argv + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(text)
+    code, text, _ = invoke(argv + ["--format", "csv"])
+    assert code == 0
+    return doc, list(csv.reader(io.StringIO(text)))
+
+
+def _assert_same_scaled(d, row, prefix):
+    assert int(row[f"{prefix}_sign"]) == d["sign"]
+    assert float(row[f"{prefix}_log_abs"]) == d["log_abs"]
+    if d["decimal"] is None:
+        assert row[f"{prefix}_decimal"] == ""
+    else:
+        assert float(row[f"{prefix}_decimal"]) == d["decimal"]
+
+
+def _dict_rows(rows):
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+class TestJsonCsvAgree:
+    """Every CSV row carries the same values as the matching JSON result."""
+
+    @pytest.mark.parametrize("x", ["2", "750"])
+    def test_eval(self, x):
+        doc, rows = _both_formats(["eval", "--mu", "0", "--ord", "0", "--gamma", "0",
+                                   "--x", x])
+        [row] = _dict_rows(rows)
+        [result] = doc["results"]
+        _assert_same_scaled(result["value"], row, "value")
+        _assert_same_scaled(result["abs_err"], row, "err")
+        assert int(row["segments"]) == result["segments"]
+        assert row["converged"] == str(result["converged"])
+
+    def test_bound(self):
+        doc, rows = _both_formats(["bound", "--bound", "lower3", "--nu", "0.5",
+                                   "--gamma", "0.9", "--x", "4"])
+        [row] = _dict_rows(rows)
+        [result] = doc["results"]
+        _assert_same_scaled(result["value"], row, "value")
+        _assert_same_scaled(result["tail_bound"], row, "tail")
+        assert row["direction"] == result["direction"]
+        assert int(row["truncation_terms"]) == result["truncation_terms"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--bound", "lower3", "--nu", "0.5", "--gamma", "0.7", "--x", "4"],
+        ["sweep", "--bounds", "main,lower1,prop1", "--nu", "0,1", "--gamma", "0,0.5",
+         "--mu", "0.5,1", "--x", "1,20"],
+    ])
+    def test_check_and_sweep(self, argv):
+        doc, rows = _both_formats(argv)
+        rows = _dict_rows(rows)
+        assert len(rows) == len(doc["results"]) > 0
+        for row, result in zip(rows, doc["results"]):
+            assert row["bound"] == result["bound"]
+            for key, value in result["point"].items():
+                assert (row[key] == "") if value is None else (float(row[key]) == value)
+            for name, prefix in (("bound_value", "bound"), ("oracle_value", "oracle"),
+                                 ("oracle_err", "oracle_err")):
+                _assert_same_scaled(result[name], row, prefix)
+            assert row["verdict"] == result["verdict"]
+            assert float(row["rel_margin"]) == result["rel_margin"]
+            assert float(row["uncertainty"]) == result["uncertainty"]
+            assert row["direction"] == result["direction"]
+            assert row["reason"] == (result["reason"] or "")
+
+    def test_table(self):
+        doc, rows = _both_formats(["table", "--bound", "twosided_l", "--nu", "-0.25,1",
+                                   "--x", "1,10,50"])
+        assert [float(v) for v in rows[0][1:]] == doc["parameters"]["x"]
+        assert [float(row[0]) for row in rows[1:]] == doc["parameters"]["nu"]
+        assert [row[1:] for row in rows[1:]] == [
+            [f"{v:.4f}" for v in entries] for entries in doc["results"]]
+
+    def test_tightness(self):
+        doc, rows = _both_formats(["tightness", "--bound", "new1", "--nu", "1",
+                                   "--x", "25,100,400"])
+        assert rows[0] == ["x", "ratio"]
+        assert [[float(v) for v in row] for row in rows[1:]] == [
+            [r["x"], r["ratio"]] for r in doc["results"]]
+
+    @pytest.mark.parametrize("mu, nu", [("0", "0"), ("1", "1")])
+    def test_crossover(self, mu, nu):
+        doc, rows = _both_formats(["crossover", "--mu", mu, "--nu", nu, "--gamma", "0"])
+        xstar = doc["results"][0]["crossover"]
+        [header, [cell]] = rows
+        assert header == ["crossover"]
+        assert (cell == "") if xstar is None else (float(cell) == xstar)
 
 
 class TestModuleEntryPoint:

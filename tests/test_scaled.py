@@ -73,6 +73,19 @@ def test_to_float_saturates():
     assert ScaledValue.from_log(-800.0).to_float() == 0.0
 
 
+@pytest.mark.parametrize("value, decimal", [
+    (ScaledValue.from_float(-2.5), -2.5),
+    (ScaledValue.zero(), 0.0),
+    (ScaledValue.from_log(699.0), math.exp(699.0)),
+    (ScaledValue.from_log(700.0), None),
+    (ScaledValue.from_log(-700.0, -1), None),
+])
+def test_dict_round_trip(value, decimal):
+    d = value.to_dict()
+    assert d == {"sign": value.sign, "log_abs": value.log_abs, "decimal": decimal}
+    assert ScaledValue.from_dict(d) == value
+
+
 def test_rel_gap():
     a = ScaledValue.from_float(2.0)
     b = ScaledValue.from_float(2.0 * (1 + 1e-9))

@@ -79,19 +79,11 @@ class TestSweep:
         b = sweep([BoundId.NEED2, BoundId.LOWER3, BoundId.MAIN], g)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    def test_threads_do_not_change_results(self):
-        g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
-                 x_values=(1.0, 20.0))
-        a = sweep([BoundId.MAIN, BoundId.LOWER4], g, threads=None)
-        b = sweep([BoundId.MAIN, BoundId.LOWER4], g, threads=4)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
-
-    @pytest.mark.parametrize("threads", [None, 2])
-    def test_failed_oracle_row_is_inconclusive(self, monkeypatch, threads):
+    def test_failed_oracle_row_is_inconclusive(self, monkeypatch):
         g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
                  x_values=(1.0, 20.0))
         ids = [BoundId.MAIN, BoundId.LOWER1, BoundId.LOWER3]
-        clean = sweep(ids, g, threads=threads)
+        clean = sweep(ids, g)
         bad_row = (1.0, 1.0, 0.5)  # F(1, 1) at gamma = 0.5: MAIN and LOWER3 use it
         real = verifier.cumulative_bessel_integral
 
@@ -101,7 +93,7 @@ class TestSweep:
             return real(mu, ordv, gamma, xs, tol)
 
         monkeypatch.setattr(verifier, "cumulative_bessel_integral", failing)
-        res = sweep(ids, g, threads=threads)
+        res = sweep(ids, g)
         assert len(res.reports) == len(clean.reports)
         on_row = 0
         for r, c in zip(res.reports, clean.reports):
