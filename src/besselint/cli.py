@@ -64,7 +64,10 @@ def _bound_id(text: str) -> BoundId:
 def _bound_list(text: str) -> list[BoundId]:
     if text.strip().lower() == "all":
         return list(BoundId)
-    return [_bound_id(tok) for tok in text.split(",") if tok]
+    ids = [_bound_id(tok) for tok in text.split(",") if tok]
+    if not ids:
+        raise argparse.ArgumentTypeError(f"no bound id in {text!r}")
+    return ids
 
 
 def _x_logspace(text: str) -> list[float]:
@@ -105,13 +108,19 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, default=None)
         p.add_argument("--gamma", type=float, default=0.0)
 
+    def add_x_grid(p):
+        xs = p.add_mutually_exclusive_group()
+        xs.add_argument("--x", type=_float_list, default=None)
+        xs.add_argument("--x-logspace", type=_x_logspace, default=None,
+                        metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
+
     def add_common(p, handler, default_format="json"):
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         p.add_argument("--tol", type=_tolerance, default=1e-10,
                        help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
 
-    p = sub.add_parser("eval", help="quadrature value of the integral")
+    p = sub.add_parser("eval", help="value of the integral with an error bound")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--ord", type=float, required=True, dest="ord_")
     p.add_argument("--gamma", type=float, required=True)
@@ -136,9 +145,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated bound ids, or 'all'")
     p.add_argument("--nu", type=_float_list, default=None)
     p.add_argument("--gamma", type=_float_list, default=None)
-    p.add_argument("--x", type=_float_list, default=None)
-    p.add_argument("--x-logspace", type=_x_logspace, default=None,
-                   metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
+    add_x_grid(p)
     p.add_argument("--n", type=_float_list, default=None)
     p.add_argument("--mu", type=_float_list, default=None)
     add_common(p, _sweep)
@@ -151,9 +158,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="bound/oracle ratios along an x sequence")
     add_point(p)
-    p.add_argument("--x", type=_float_list, default=None)
-    p.add_argument("--x-logspace", type=_x_logspace, default=None,
-                   metavar="LO,HI,COUNT")
+    add_x_grid(p)
     add_common(p, _tightness)
 
     p = sub.add_parser("crossover", help="abscissa where the PROP1 comparison flips")

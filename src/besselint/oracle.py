@@ -1,34 +1,45 @@
 """High-accuracy evaluation of ``F = integral_0^x e^(-gamma t) t^mu I_ord(t) dt``.
 
-The integrand grows like ``e^((1-gamma) t)``, so panel contributions are
-carried as :class:`~besselint.scaled.ScaledValue` throughout.  The range
-splits at ``eps = min(1, x/2)``:
+Integrating the power series of ``I_ord`` term by term gives one series
+whose terms are all positive when ``ord > -1``:
 
-* ``[0, eps]`` -- the integrand's double power series is integrated term
-  by term, which stays accurate down to the integrability boundary
-  ``mu + ord -> -1`` where quadrature nodes would struggle;
-* ``[eps, x]`` -- adaptive 7/15 Gauss-Kronrod panels, worst error first,
-  with the embedded-rule difference as the per-panel error estimate.
+* ``F = sum_k a_k J(p_k)`` with ``a_k = 2^-(ord+2k) / (k! Gamma(ord+k+1))``
+  and ``p_k = mu + ord + 2k + 1``;
+* ``J(p) = integral_0^x e^(-gamma t) t^(p-1) dt = x^p e^-z S(p)`` with
+  ``z = gamma x`` and ``S(p) = sum_j z^j / (p (p+1) ... (p+j))``
+  (DLMF 8.7.1).
 
-``cumulative_bessel_integral`` evaluates one integrand at an ascending
-list of upper limits while reusing every previously integrated panel;
-sweeps over x-grids cost barely more than the largest single integral.
+Consecutive terms differ by the factor
+``x^2/(4 (k+1)(ord+k+1)) * S(p_k+2)/S(p_k)``.  The S ratios come from the
+downward recurrence ``w(p) = p w(p+1) / (w(p+1) + z)`` on ``w = 1/S``,
+which is the stable direction (Gautschi 1967, SIAM Rev. 9).  The terms
+are summed in a float frame built from these ratios, with one log anchor
+at ``k = 0``, so the integral's ``e^((1-gamma) x)`` growth never
+overflows.  Since ``S(p+2) <= S(p)``, every later term ratio is at most
+``q = x^2/(4 (K+1)(ord+K+1))``, and the tail after term K is certified by
+``T_K q/(1-q)``.  Terms are added until that tail is below one rounding
+unit of the sum.  ``abs_err`` is an a-priori bound: the rounding of the
+recurrences, of the anchor and of the sum, plus the certified tail.
+
+For ``ord < -1`` (with ``mu + ord > -1``) the finitely many head terms
+with ``ord + k + 1 < 0`` alternate in sign; they are carried through the
+same signed ratios and the rounding bound scales with the sum of
+``|T_k|``.
 
 The closed forms (``antiderivative_gamma1``, the identity residuals) are
-deliberately computed through routes independent of the quadrature so
-that each can certify the other.
+computed through routes independent of the series so that each can
+certify the other.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from . import kernel
-from .errors import InvalidDomain, NonConvergence
-from .scaled import ScaledValue, signed_logsum
+from .errors import InvalidDomain, InvalidOrder, NonConvergence
+from .scaled import ScaledValue
 
 __all__ = [
     "IntegralSpec",
@@ -46,26 +57,13 @@ __all__ = [
 TOL_MIN = 1e-13
 TOL_MAX = 1e-6
 
-_PANEL_BUDGET = 10_000
-
-# 7/15 Gauss-Kronrod pair (QUADPACK dqk15): (node, kronrod weight, gauss weight)
-_GK15 = (
-    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
-    (+0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (-0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (+0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
-    (-0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
-    (+0.586087235467691130294144838258730, 0.169004726639267902826583426598550, 0.0),
-    (-0.586087235467691130294144838258730, 0.169004726639267902826583426598550, 0.0),
-    (+0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
-    (-0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
-    (+0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (-0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (+0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
-    (-0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
-    (+0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (-0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-)
+#: unit roundoff of IEEE double arithmetic
+_U = 2.0 ** -53
+_LN2 = math.log(2.0)
+#: a frame value past this is rescaled by an exact power of two
+_FRAME_MAX = 2.0 ** 500
+#: most series terms one integral may use, which bounds its memory and time
+_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,10 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """``value`` of F, an a-priori bound ``abs_err`` on its error, the number
+    of series terms summed (``segments``) and whether ``abs_err`` is within
+    the requested relative tolerance (``converged``)."""
+
     value: ScaledValue
     abs_err: ScaledValue
     segments: int
@@ -113,126 +115,110 @@ def _check_tol(tol: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# series segment over [0, eps]
+# the positive series
 # ----------------------------------------------------------------------
 
-def _series_segment(mu: float, order: float, gamma: float, eps: float) -> ScaledValue:
-    """Term-wise integral of e^(-gamma t) t^mu I_order(t) over [0, eps], eps <= 1."""
-    log_eps = math.log(eps)
-    pos: list[float] = []
-    neg: list[float] = []
-    best = -math.inf
-    for k in range(400):
-        a = order + k + 1
-        if kernel.is_nonpositive_int(a):
-            continue
-        log_amp = -(order + 2 * k) * math.log(2.0) - math.lgamma(k + 1) - math.lgamma(a)
-        p = mu + order + 2 * k + 1
-        # inner sum over the exponential's series: sum_j (-gamma eps)^j / (j! (p+j))
-        t_sum = 0.0
-        c = 1.0
-        for j in range(1, 300):
-            t_sum += c / (p + j - 1)
-            c *= (-gamma * eps) / j
-            if abs(c) <= 1e-18 * abs(t_sum) * (p + j):
-                break
-        lt = log_amp + p * log_eps + math.log(abs(t_sum))
-        sgn = kernel.gamma_sign(a) * (1 if t_sum > 0 else -1)
-        (pos if sgn > 0 else neg).append(lt)
-        if lt > best:
-            best = lt
-        if k >= 2 and lt < best - 45.0:
-            return signed_logsum(pos, neg)
-    raise NonConvergence(
-        f"series segment stalled for mu={mu}, ord={order}, gamma={gamma}, eps={eps}"
-    )
+def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
+    """``S(p_k+2)/S(p_k)`` for ``k < n``, ``log S(p0)``, and the number of
+    recurrence steps and direct-sum terms (for the rounding bound).
 
-
-# ----------------------------------------------------------------------
-# adaptive Gauss-Kronrod over [eps, x]
-# ----------------------------------------------------------------------
-
-def _log_integrand(mu: float, order: float, gamma: float):
-    def logf(t: float) -> tuple[int, float]:
-        val = kernel.besseli(order, t)
-        if val.sign == 0:
-            return 0, -math.inf
-        return val.sign, -gamma * t + mu * math.log(t) + val.log_abs
-    return logf
-
-
-def _gk15_panel(logf, a: float, b: float) -> tuple[ScaledValue, ScaledValue]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    evals = [(wk, wg, *logf(mid + half * xi)) for xi, wk, wg in _GK15]
-    off = max((lg for _, _, sg, lg in evals if sg), default=-math.inf)
-    if off == -math.inf:
-        return ScaledValue.zero(), ScaledValue.zero()
-    sk = math.fsum(wk * sg * math.exp(lg - off) for wk, _, sg, lg in evals)
-    sg7 = math.fsum(wg * sg * math.exp(lg - off) for _, wg, sg, lg in evals)
-    log_h = math.log(half)
-    value = (
-        ScaledValue.from_log(math.log(abs(sk)) + off + log_h, 1 if sk > 0 else -1)
-        if sk != 0.0 else ScaledValue.zero()
-    )
-    diff = abs(sk - sg7)
-    err = ScaledValue.from_log(math.log(diff) + off + log_h) if diff > 0.0 else ScaledValue.zero()
-    return value, err
-
-
-def _adaptive_segment(logf, a: float, b: float, rel_tol: float, growth: float,
-                      budget: int) -> tuple[ScaledValue, ScaledValue, int]:
-    """Integrate logf over [a, b] to relative tolerance, worst panel first."""
-    if b <= a:
-        return ScaledValue.zero(), ScaledValue.zero(), 0
-    # seed so no panel spans more than ~5 e-folds of exponential growth
-    n0 = max(1, min(256, int(math.ceil(growth * (b - a) / 5.0))))
-    panels: dict[int, tuple[float, float, ScaledValue, ScaledValue]] = {}
-    heap: list[tuple[float, int]] = []
-    counter = 0
-
-    def push(lo: float, hi: float):
-        nonlocal counter
-        val, err = _gk15_panel(logf, lo, hi)
-        panels[counter] = (lo, hi, val, err)
-        heapq.heappush(heap, (-(err.log_abs if err.sign else -math.inf), counter))
-        counter += 1
-
-    for i in range(n0):
-        push(a + (b - a) * i / n0, a + (b - a) * (i + 1) / n0)
-
+    ``S`` is summed directly at ``p0 + 2n``, where its terms fall
+    geometrically, and ``w = 1/S`` runs down from there.  The factors
+    ``S(p)/S(p+1) = (w(p+1) + z)/p`` never divide by ``w``, which turns
+    subnormal once z >> p; their product gives ``log S(p0)``.
+    """
+    top = p0 + 2 * n
+    term = s = 1.0 / top
+    j = 0
     while True:
-        # totals in a common float frame anchored at the largest magnitude
-        off = max(
-            max((p[2].log_abs for p in panels.values() if p[2].sign), default=-math.inf),
-            max((p[3].log_abs for p in panels.values() if p[3].sign), default=-math.inf),
-        )
-        if off == -math.inf:
-            return ScaledValue.zero(), ScaledValue.zero(), len(panels)
-        tot = math.fsum(
-            p[2].sign * math.exp(p[2].log_abs - off) for p in panels.values() if p[2].sign
-        )
-        errs = math.fsum(math.exp(p[3].log_abs - off) for p in panels.values() if p[3].sign)
-        if errs <= rel_tol * abs(tot) or errs == 0.0:
-            value = (
-                ScaledValue.from_log(math.log(abs(tot)) + off, 1 if tot > 0 else -1)
-                if tot != 0.0 else ScaledValue.zero()
-            )
-            err = ScaledValue.from_log(math.log(errs) + off) if errs > 0.0 else ScaledValue.zero()
-            return value, err, len(panels)
-        if len(panels) >= budget:
+        j += 1
+        r = z / (top + j)
+        term *= r
+        s += term
+        if r < 1.0 and term * r <= _U * (1.0 - r) * s:
+            break
+    w = 1.0 / s
+    ratios = [0.0] * n
+    prod, prod_exp = 1.0, 0
+    for k in range(n - 1, -1, -1):
+        p = p0 + 2 * k
+        f1 = (w + z) / (p + 1.0)
+        w /= f1
+        f0 = (w + z) / p
+        w /= f0
+        f = f0 * f1
+        ratios[k] = 1.0 / f
+        prod *= f
+        if prod > _FRAME_MAX:
+            prod, e = math.frexp(prod)
+            prod_exp += e
+    return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
+
+
+def _frame_sum(order: float, x2_4: float, ratios: list[float]):
+    """Sum up to ``len(ratios)`` terms relative to ``T_0``; None when the
+    tail is not yet certified.
+
+    Returns ``(sum, sum of |T_k|, certified tail, frame exponent, terms)``:
+    the first three are in units of ``T_0 * 2^frame_exponent``.
+    """
+    t = s = a = 1.0
+    shift = 0
+    for k, ratio in enumerate(ratios):
+        c = order + k + 1.0
+        q = x2_4 / ((k + 1) * c)
+        if c > 0.0 and q < 1.0:
+            tail = abs(t) * q / (1.0 - q)
+            if tail <= _U * abs(s):
+                return s, a, tail, shift, k + 1
+        t *= q * ratio
+        s += t
+        a += abs(t)
+        if abs(t) > _FRAME_MAX:
+            t, e = math.frexp(t)
+            s, a, shift = math.ldexp(s, -e), math.ldexp(a, -e), shift + e
+    return None
+
+
+def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> QuadResult:
+    if kernel.is_nonpositive_int(order + 1.0):
+        raise InvalidOrder(f"negative integer order {order} is not supported")
+    p0 = math.fsum((mu, order, 1.0))  # correctly rounded near mu + ord = -1
+    z = gamma * x
+    # past the peak near k = x/2 the terms fall by e^-37 within ~4.3 sqrt(x)
+    n = int(0.5 * x + 5.0 * math.sqrt(x) + max(0.0, -order)) + 10
+    while True:
+        if n > _MAX_TERMS:
             raise NonConvergence(
-                f"adaptive quadrature exhausted {budget} panels on [{a}, {b}]"
-            )
-        # split the live panel with the largest error estimate
-        while True:
-            _, idx = heapq.heappop(heap)
-            if idx in panels:
-                break
-        lo, hi, _, _ = panels.pop(idx)
-        mid = 0.5 * (lo + hi)
-        push(lo, mid)
-        push(mid, hi)
+                f"F(mu={mu}, ord={order}, gamma={gamma}, x={x}) needs more than "
+                f"{_MAX_TERMS} series terms")
+        if z > 0.0:
+            ratios, log_s0, steps = _s_ratios(p0, z, n)
+        else:
+            ratios = [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)]
+            log_s0, steps = -math.log(p0), 0
+        summed = _frame_sum(order, 0.25 * x * x, ratios)
+        if summed is not None:
+            break
+        n *= 2
+    s, a, tail, shift, terms = summed
+
+    lg = math.lgamma(order + 1.0)
+    parts = (-order * _LN2, -lg, p0 * math.log(x), -z, log_s0, shift * _LN2)
+    log_t0 = math.fsum(parts)
+    # a-priori rounding bound in units of u * sum |T_k|: 10 roundings per
+    # term ratio and sum; 10 per step of the w recurrence and of the direct
+    # sum that starts it (the recurrence damps the error it carries, so
+    # step errors add up rather than compound); 3 per unit of every log
+    # that enters the anchor, which also covers the rounding of p0 times
+    # |d log T / dp| <= |log x| + 1/p0 + log(1 + z/p0); and the final logs
+    coef = (10 * terms + 10 * steps + 10
+            + 3 * math.fsum(abs(v) for v in parts) + 2 * abs(math.log(abs(s))))
+    sign = kernel.gamma_sign(order + 1.0) * (1 if s > 0 else -1)
+    value = ScaledValue.from_log(math.log(abs(s)) + log_t0, sign)
+    abs_err = ScaledValue.from_log(math.log(coef * _U * a + tail) + log_t0)
+    converged = abs_err.log_abs - value.log_abs <= math.log(tol)
+    return QuadResult(value, abs_err, terms, converged)
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +229,7 @@ def cumulative_bessel_integral(mu: float, ord: float, gamma: float,
                                xs: list[float], tol: float = 1e-10) -> list[QuadResult]:
     """Evaluate the integral at every upper limit in ascending ``xs``.
 
-    Panels accumulate across the list, so a full x-grid costs little more
-    than its largest point.
+    Each limit is its own series; a row of limits shares only validation.
     """
     _check_tol(tol)
     if not xs:
@@ -254,28 +239,7 @@ def cumulative_bessel_integral(mu: float, ord: float, gamma: float,
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise InvalidDomain("upper limits must be ascending")
     IntegralSpec(mu, ord, gamma, xs[0]).validate()
-
-    growth = max(0.0, 1.0 - gamma)
-    logf = _log_integrand(mu, ord, gamma)
-    eps = min(1.0, xs[0] / 2.0)
-    total = _series_segment(mu, ord, gamma, eps)
-    err_total = ScaledValue.zero()
-    segments = 0
-    lo = eps
-    out: list[QuadResult] = []
-    for x in xs:
-        if x > lo:
-            val, err, n = _adaptive_segment(logf, lo, x, 0.5 * tol, growth,
-                                            _PANEL_BUDGET - segments)
-            total = total + val
-            err_total = err_total + err
-            segments += n
-            lo = x
-        converged = err_total.is_zero() or (
-            not total.is_zero() and err_total.log_abs - total.log_abs <= math.log(tol)
-        )
-        out.append(QuadResult(total, err_total, segments, converged))
-    return out
+    return [_series(mu, ord, gamma, x, tol) for x in xs]
 
 
 def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
@@ -284,7 +248,7 @@ def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
     spec.validate()
     if spec.x == 0.0:
         return QuadResult(ScaledValue.zero(), ScaledValue.zero(), 0, True)
-    return cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, [spec.x], tol)[0]
+    return _series(spec.mu, spec.ord, spec.gamma, spec.x, tol)
 
 
 def antiderivative_gamma1(nu: float, x: float) -> ScaledValue:

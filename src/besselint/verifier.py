@@ -1,16 +1,16 @@
 """Certification harness: verdicts, grid sweeps, tables, tightness, crossover.
 
-A check compares one catalog bound against the quadrature oracle at one
+A check compares one catalog bound against the series oracle at one
 parameter point and renders HOLDS / VIOLATED / INCONCLUSIVE.  The
-inconclusive band is the combined numerical uncertainty (oracle error
-estimate + series tail + a small kernel floor): a strict inequality can
-never be certified numerically at an equality point, so points whose
-margin falls inside the band are neither passes nor failures.
+inconclusive band is the combined numerical uncertainty (the oracle's
+a-priori error bound + the bound's series tail + a small kernel floor): a
+strict inequality can never be certified numerically at an equality
+point, so points whose margin falls inside the band are neither passes
+nor failures.
 
-Sweeps share oracle work aggressively: points are grouped by integrand
-``(mu, ord, gamma)`` and each group is evaluated cumulatively along its
-ascending x-grid, so a full certification grid costs little more than
-one integral per group.
+Sweeps evaluate each integral once: points are grouped by integrand
+``(mu, ord, gamma)`` into rows along ascending x, and checks that share
+an integral share its oracle result.
 """
 
 from __future__ import annotations
@@ -247,8 +247,9 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
     Out-of-domain points are skipped and recorded with the violated
     hypothesis; evaluation errors become INCONCLUSIVE reports with the
     failure reason.  That includes an oracle row that fails (for example
-    quadrature that exhausts its panel budget): every check on that row is
-    INCONCLUSIVE with the row's error, and the rest of the sweep goes on.
+    a point that needs more series terms than the oracle allows): every
+    check on that row is INCONCLUSIVE with the row's error, and the rest of
+    the sweep goes on.
     Output ordering is canonical regardless of the order of ``ids``.
     """
     oracle_tol = max(tol / 10.0, 1e-13)
@@ -270,7 +271,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
                             else:
                                 tasks.append((bid, point))
 
-    # group oracle work by integrand; each group is one cumulative pass
+    # group oracle work by integrand; each group is one row
     rows: dict[tuple[float, float, float], set[float]] = {}
     for bid, point in tasks:
         spec = CATALOG[bid].integrand(point)

@@ -36,10 +36,10 @@ TABLE_LOWER = (
 # published relative errors of the upper member.  The (nu=2.5, x=1) cell is
 # printed as 0.0001, but that digit belongs to the x=0.5 column of a
 # superseded draft of the same table (the 0.0001 survives there verbatim
-# while every other row's first entry was recomputed for x=1).  Two
-# independent quadratures (this package's Gauss-Kronrod oracle and a
-# 40-digit tanh-sinh evaluation) both give 0.00052903 at x=1, so the
-# expected value below carries the corrected 0.0005.
+# while every other row's first entry was recomputed for x=1).  This
+# package's series oracle and a 40-digit tanh-sinh quadrature both give
+# 0.00052903 at x=1, so the expected value below carries the corrected
+# 0.0005.
 TABLE_UPPER = (
     (0.0403, 0.2132, 0.4675, 0.4323, 0.3268, 0.2137, 0.1134, 0.0584),
     (0.0199, 0.0991, 0.2038, 0.1973, 0.1543, 0.1034, 0.0558, 0.0290),

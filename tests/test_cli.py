@@ -108,15 +108,22 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--bounds", "nope"),
+        ("--bounds", ","),
+        ("--bounds", ""),
         ("--x-logspace", "1,10,abc"),
         ("--x-logspace", "0,10,3"),
+        ("--x-logspace", "5,6,1"),  # valid, but --x is given too
     ])
     def test_bad_sweep_grid_flag(self, flag, value):
-        argv = ["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0", "--x", "1"]
-        code, out, err = invoke(argv + [flag, value])
-        assert code == 2  # not 1, which would read as a VIOLATED bound
-        assert out == ""
-        assert f"argument {flag}" in err
+        verbs = [["sweep", "--bounds", "main"]]
+        if flag == "--x-logspace":
+            verbs.append(["tightness", "--bound", "main"])
+        for verb in verbs:
+            argv = verb + ["--nu", "0", "--gamma", "0", "--x", "1", flag, value]
+            code, out, err = invoke(argv)
+            assert code == 2  # not 1, which would read as a VIOLATED bound
+            assert out == ""
+            assert f"argument {flag}" in err
 
 
 class TestSweepVerb:

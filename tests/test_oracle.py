@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
+import mpmath
 import pytest
 
-from besselint.errors import InvalidDomain
+from besselint.errors import InvalidDomain, NonConvergence
 from besselint.oracle import (
     IdentityId,
     IntegralSpec,
@@ -18,7 +20,7 @@ from besselint.scaled import ScaledValue
 from conftest import sv_relerr
 
 # values frozen from an mpmath tanh-sinh quadrature oracle (25 digits),
-# independent of the Gauss-Kronrod path under test
+# independent of the series under test
 F_REFERENCE = [
     # (mu, ord, gamma, x, value)
     (0.0, 0.0, 0.5, 2.0, 1.6328572258966945),
@@ -77,14 +79,74 @@ class TestBesselIntegral:
             bessel_integral(IntegralSpec(0.0, 0.0, 0.5, 1.0), 1e-20)
 
     def test_singular_endpoint_integrand(self):
-        # mu + ord barely above -1: series segment must carry the weight
+        # mu + ord barely above -1: the leading term carries the weight
         res = bessel_integral(IntegralSpec(-0.55, -0.4, 0.2, 2.0), 1e-11)
         assert res.converged
+
+    def test_term_cap_fails_fast(self):
+        # x = 1e7 needs ~5e6 terms; the cap must reject it before any table
+        # of that size is built
+        tracemalloc.start()
+        try:
+            for gamma in (0.0, 0.5):
+                with pytest.raises(NonConvergence, match="series terms"):
+                    bessel_integral(IntegralSpec(0.0, 0.0, gamma, 1e7), 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_huge_upper_limit_stays_scaled(self):
         res = bessel_integral(IntegralSpec(0.0, 0.0, 0.0, 400.0), 1e-11)
         assert res.converged
         assert res.value.log_abs > 390.0  # grows like e^x / x
+
+
+def _mp_series(mu, order, gamma, x):
+    """F at 40 digits: ``sum_k a_k J(p_k)`` with every ``J(p)`` from mpmath's
+    lower incomplete gamma function, ``J(p) = gamma^-p gammainc(p, 0, gamma x)``.
+
+    ``mpmath.quad`` is no reference here: at mu + ord = -0.95 and x <= 1 it
+    is off by 6e-3.
+    """
+    with mpmath.workdps(40):
+        mu, order, gamma, x = (mpmath.mpf(v) for v in (mu, order, gamma, x))
+        total = mpmath.mpf(0)
+        k = 0
+        while True:
+            p = mu + order + 2 * k + 1
+            a = mpmath.mpf(2) ** -(order + 2 * k) * mpmath.rgamma(order + k + 1) / mpmath.factorial(k)
+            j = x ** p / p if gamma == 0 else mpmath.gammainc(p, 0, gamma * x) / gamma ** p
+            total += a * j
+            # past the peak near k = x/2 and the signed head, terms only fall
+            if k > x / 2 + abs(order) and abs(a * j) < mpmath.mpf(10) ** -45 * abs(total):
+                return total
+            k += 1
+
+
+# mu + ord = -0.95 near the integrability edge, and orders below -1 whose
+# head terms alternate in sign
+_EDGE_PAIRS = [(-0.5, -0.45), (1.0, -1.5), (2.0, -2.7)]
+_DIFFERENTIAL_CASES = (
+    [(mu, o, g, x) for mu, o in _EDGE_PAIRS for g in (0.0, 0.5, 0.99, 1.0) for x in (1e-3, 200.0)]
+    + [(mu, o, 0.0, 1000.0) for mu, o in _EDGE_PAIRS]
+    + [(1.0, -1.5, 1.0, 1000.0)]
+    + [
+        (5.0, 5.0, 0.5, 0.00289),          # the anchor's rounding sets abs_err
+        (0.314, -0.0037, 0.757, 979.6),    # w(p0) = 1/S(p0) underflows to subnormal
+    ]
+)
+
+
+@pytest.mark.parametrize("mu,ordv,gamma,x", _DIFFERENTIAL_CASES)
+def test_abs_err_covers_the_40_digit_error(mu, ordv, gamma, x):
+    res = bessel_integral(IntegralSpec(mu, ordv, gamma, x), 1e-10)
+    ref = _mp_series(mu, ordv, gamma, x)
+    with mpmath.workdps(40):
+        got = res.value.sign * mpmath.exp(mpmath.mpf(res.value.log_abs))
+        err = mpmath.exp(mpmath.mpf(res.abs_err.log_abs))
+        assert abs(got - ref) <= err
+    assert res.converged
 
 
 class TestCumulative:

@@ -79,6 +79,13 @@ class TestSweep:
         b = sweep([BoundId.NEED2, BoundId.LOWER3, BoundId.MAIN], g)
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
+    def test_far_row_holds(self):
+        # one oracle row out to x = 20000, where the integral passes e^19990
+        res = sweep([BoundId.MAIN], Grid((0.0,), (0.0,), logspace(1.0, 20000.0, 40)),
+                    tol=1e-12)
+        assert res.counts == {"holds": 40, "violated": 0, "inconclusive": 0}
+        assert all(r.reason is None for r in res.reports)
+
     def test_failed_oracle_row_is_inconclusive(self, monkeypatch):
         g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
                  x_values=(1.0, 20.0))
@@ -89,7 +96,7 @@ class TestSweep:
 
         def failing(mu, ordv, gamma, xs, tol):
             if (mu, ordv, gamma) == bad_row:
-                raise NonConvergence("adaptive quadrature exhausted its panels")
+                raise NonConvergence("F needs more than 100000 series terms")
             return real(mu, ordv, gamma, xs, tol)
 
         monkeypatch.setattr(verifier, "cumulative_bessel_integral", failing)
@@ -102,7 +109,7 @@ class TestSweep:
             if (spec.mu, spec.ord, spec.gamma) == bad_row:
                 on_row += 1
                 assert r.verdict is Verdict.INCONCLUSIVE
-                assert r.reason.startswith("NonConvergence: adaptive quadrature")
+                assert r.reason.startswith("NonConvergence: F needs more")
             else:
                 assert r == c
         assert on_row == 4  # MAIN and LOWER3 at x = 1 and x = 20
