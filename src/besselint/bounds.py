@@ -20,17 +20,25 @@ BAAAD      upper     like GAU1 but with 2(v+1) I_{v+1} - I_{v+3}
 NEW1       upper     weighted I_{v+n+1}, I_{v+n+3} combination for F(v, v+n);
                      n > -1, v > -(n+1)/2, and v >= 1/2 unless g = 0; turns into
                      an equality at g = 0, n = -1 and reverses for -3 < n < -1
-LOWER4     lower     three-term I_{v+n+1,3,5} combination for F(v, v+n)
-TWOSIDED_* --        the g = 0 specialisations of NEW1 / LOWER4
-LOWER1     lower     e^-gx x^(v+1) sum_k g^k I_{v+k+1} for F(v+1, v);   v > -1
+LOWER4     lower     three-term I_{v+n+1,3,5} combination for F(v, v+n);
+                     n > -1, v > -(n+1)/2
+TWOSIDED_* --        declared as g = 0 aliases: _L of LOWER4, _U of NEW1 with
+                     LOWER4's hypotheses (n > -1, so always upper)
+LOWER1     lower     e^-gx x^(v+1) sum_k g^k I_{v+k+1} for F(v+1, v);   v > -1;
+                     an equality at g = 0
 LOWER3     lower     e^-gx x^v     sum_k g^k I_{v+k+1} for F(v, v);     v > -1/2
 INTINEQ0   lower     (1 - 2v(2v+c_{v-1})/((2v-1)(1-g)x)) e^-gx x^v I_v / (1-g)
                      for F(v, v+1);  v > 1/2
 LOWER2     lower     same right side bounding F(v, v);                  v > 1/2
-PROP1      upper     e^-gx x^mu I_v / (1-g) for F(mu, v);  mu >= v >= 1/2
+PROP1      upper     e^-gx x^mu I_v / (1-g) for F(mu, v);  mu >= v >= 1/2;
+                     reverses at large x for mu < 1/2
 NEED2      upper     ((2(v+1)/x + g) I_{v+1} + g^2 I_{v+2}) e^-gx x^(v+1)/(2v+1)
+                     for F(v, v);  v > -1/2
 DAY        lower     e^-gx x^v I_{v+n+3} for F(v, v+n+2);  n > -3, v > -(n+3)/2
 ========== ========= ============================================================
+
+Every bound also needs ``x > 0`` and ``0 <= g < 1``; ``_Entry.invalid_reason``
+checks those once before the bound's own hypotheses.
 
 The truncated series in LOWER1/LOWER3 only ever *under*-estimates (all
 terms are positive), so any truncation level preserves the lower-bound
@@ -44,7 +52,7 @@ most the last term times ``q/(1-q)`` with ``q`` the next factor (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -224,32 +232,32 @@ def geometric_tail_series(nu: float, gamma: float, x: float,
 
 @dataclass(frozen=True)
 class _Entry:
-    direction: Direction
+    """One catalog bound: the axes it uses, its own hypotheses (checked after
+    ``x > 0`` and ``0 <= gamma < 1``), its value as ``(value, series terms,
+    tail bound)``, the integral it bounds and its direction at a point."""
+
     uses_n: bool
     uses_mu: bool
-    invalid_reason: Callable[[Point], Optional[str]]
+    hypothesis: Callable[[Point], Optional[str]]
     evaluate: Callable[[Point, float, Optional[int]], tuple[ScaledValue, int, ScaledValue]]
     integrand: Callable[[Point], IntegralSpec]
-    note: str
+    direction_at: Callable[[Point], Direction]
 
-    def direction_at(self, point: Point) -> Direction:
-        return self.direction
-
-
-def _gamma_ok(p: Point) -> Optional[str]:
-    if not 0.0 <= p.gamma < 1.0:
-        return f"0 <= gamma < 1 (got gamma={p.gamma})"
-    return None
-
-
-def _x_ok(p: Point) -> Optional[str]:
-    if not p.x > 0:
-        return f"x > 0 (got x={p.x})"
-    return None
+    def invalid_reason(self, p: Point) -> Optional[str]:
+        """The first violated hypothesis at ``p``, or None inside the domain."""
+        if not p.x > 0:
+            return f"x > 0 (got x={p.x})"
+        if not 0.0 <= p.gamma < 1.0:
+            return f"0 <= gamma < 1 (got gamma={p.gamma})"
+        return self.hypothesis(p)
 
 
-def _common(p: Point) -> Optional[str]:
-    return _x_ok(p) or _gamma_ok(p)
+def _upper(p: Point) -> Direction:
+    return Direction.UPPER
+
+
+def _lower(p: Point) -> Direction:
+    return Direction.LOWER
 
 
 def _prefactor(p: Point, power: float) -> ScaledValue:
@@ -264,21 +272,24 @@ def _family_nu_nu(p: Point) -> IntegralSpec:
     return IntegralSpec(p.nu, p.nu, p.gamma, p.x)
 
 
+def _family_nu_nun(p: Point) -> IntegralSpec:
+    return IntegralSpec(p.nu, p.nu + p.n, p.gamma, p.x)
+
+
+def _nu_gt(threshold: float):
+    def hypothesis(p: Point) -> Optional[str]:
+        return None if p.nu > threshold else f"nu > {threshold} (got nu={p.nu})"
+    return hypothesis
+
+
 # -- constant-times-I bounds for F(nu, nu) ------------------------------
 
-def _v_main(p: Point, _tol, _mx):
-    const = (2.0 * (p.nu + 1.0) + c_nu(p.nu)) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma))
-    return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * const)
-
-
-def _v_simple(p: Point, _tol, _mx):
-    const = (2.0 * p.nu + 3.0) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma))
-    return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * const)
-
-
-def _v_gau1(p: Point, _tol, _mx):
-    const = 2.0 * (p.nu + 1.0) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma))
-    return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * const)
+def _const_times_i(const: Callable[[float, float], float]):
+    """Evaluator of ``const(nu, gamma) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
+    def evaluate(p: Point, _tol, _mx):
+        c = const(p.nu, p.gamma)
+        return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * c)
+    return evaluate
 
 
 def _v_baaad(p: Point, _tol, _mx):
@@ -289,23 +300,9 @@ def _v_baaad(p: Point, _tol, _mx):
 
 
 def _ok_halfplus(p: Point) -> Optional[str]:
-    err = _common(p)
-    if err:
-        return err
     if p.nu >= 0.5 or (p.gamma == 0.0 and p.nu > -0.5):
         return None
     return f"nu >= 1/2, or nu > -1/2 with gamma = 0 (got nu={p.nu}, gamma={p.gamma})"
-
-
-def _ok_nu_gt(threshold: float):
-    def check(p: Point) -> Optional[str]:
-        err = _common(p)
-        if err:
-            return err
-        if not p.nu > threshold:
-            return f"nu > {threshold} (got nu={p.nu})"
-        return None
-    return check
 
 
 # -- generalized-order bounds for F(nu, nu+n) ---------------------------
@@ -329,13 +326,6 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
     return Direction.UPPER, None
 
 
-def _ok_new1(p: Point) -> Optional[str]:
-    err = _common(p)
-    if err:
-        return err
-    return _new1_regime(p)[1]
-
-
 def _v_new1(p: Point, _tol, _mx):
     s = 2.0 * p.nu + p.n + 1.0
     combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
@@ -344,9 +334,6 @@ def _v_new1(p: Point, _tol, _mx):
 
 
 def _ok_lower4(p: Point) -> Optional[str]:
-    err = _common(p)
-    if err:
-        return err
     if not p.n > -1.0:
         return f"n > -1 (got n={p.n})"
     if not p.nu > -(p.n + 1.0) / 2.0:
@@ -365,28 +352,28 @@ def _v_lower4(p: Point, _tol, _mx):
     return _no_series(_prefactor(p, p.nu) * combo / s)
 
 
-def _ok_twosided(p: Point) -> Optional[str]:
+def _ok_gamma_zero(p: Point) -> Optional[str]:
+    """The TWOSIDED hypotheses: LOWER4's, at gamma = 0 only."""
     if p.gamma != 0.0:
         return f"gamma = 0 (got gamma={p.gamma})"
     return _ok_lower4(p)
 
 
-def _family_nu_nun(p: Point) -> IntegralSpec:
-    return IntegralSpec(p.nu, p.nu + p.n, p.gamma, p.x)
-
-
 # -- series lower bounds -------------------------------------------------
 
-def _v_lower1(p: Point, tol, mx):
-    total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x, tol, mx)
-    pre = _prefactor(p, p.nu + 1.0)
-    return pre * total, terms, pre * tail
+def _geometric(power_offset: float):
+    """Evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
+    def evaluate(p: Point, tol, mx):
+        total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x, tol, mx)
+        pre = _prefactor(p, p.nu + power_offset)
+        return pre * total, terms, pre * tail
+    return evaluate
 
 
-def _v_lower3(p: Point, tol, mx):
-    total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x, tol, mx)
-    pre = _prefactor(p, p.nu)
-    return pre * total, terms, pre * tail
+def _lower1_direction(p: Point) -> Direction:
+    # at gamma = 0 the series collapses to I_{nu+1} and
+    # d/dt (t^(nu+1) I_{nu+1}(t)) = t^(nu+1) I_nu(t) makes it exact
+    return Direction.EQUALITY if p.gamma == 0.0 else Direction.LOWER
 
 
 # -- reciprocal-x corrected lower bounds ---------------------------------
@@ -402,9 +389,6 @@ def _v_lower2_like(p: Point, _tol, _mx):
 # -- remaining individual bounds -----------------------------------------
 
 def _ok_prop1(p: Point) -> Optional[str]:
-    err = _common(p)
-    if err:
-        return err
     if p.mu is None:
         return "mu must be supplied"
     if not (p.mu >= p.nu >= 0.5):
@@ -429,9 +413,6 @@ def _v_need2(p: Point, _tol, _mx):
 
 
 def _ok_day(p: Point) -> Optional[str]:
-    err = _common(p)
-    if err:
-        return err
     if not p.n > -3.0:
         return f"n > -3 (got n={p.n})"
     if not p.nu > -(p.n + 3.0) / 2.0:
@@ -443,69 +424,45 @@ def _v_day(p: Point, _tol, _mx):
     return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + p.n + 3.0, p.x))
 
 
-class _New1Entry(_Entry):
-    def direction_at(self, point: Point) -> Direction:
-        return _new1_regime(point)[0]
-
-
-class _Lower1Entry(_Entry):
-    def direction_at(self, point: Point) -> Direction:
-        # at gamma = 0 the series collapses to I_{nu+1} and
-        # d/dt (t^(nu+1) I_{nu+1}(t)) = t^(nu+1) I_nu(t) makes it exact
-        return Direction.EQUALITY if point.gamma == 0.0 else Direction.LOWER
-
+_NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _v_new1, _family_nu_nun,
+               lambda p: _new1_regime(p)[0])
+_LOWER4 = _Entry(True, False, _ok_lower4, _v_lower4, _family_nu_nun, _lower)
 
 CATALOG: dict[BoundId, _Entry] = {
     BoundId.MAIN: _Entry(
-        Direction.UPPER, False, False, _ok_nu_gt(-0.5), _v_main, _family_nu_nu,
-        "constant (2(nu+1)+c_nu)/((2nu+1)(1-gamma)) times e^-gx x^nu I_{nu+1}"),
+        False, False, _nu_gt(-0.5),
+        _const_times_i(lambda nu, g: (2.0 * (nu + 1.0) + c_nu(nu))
+                       / ((2.0 * nu + 1.0) * (1.0 - g))),
+        _family_nu_nu, _upper),
     BoundId.SIMPLE: _Entry(
-        Direction.UPPER, False, False, _ok_nu_gt(-0.5), _v_simple, _family_nu_nu,
-        "constant (2nu+3)/((2nu+1)(1-gamma)) times e^-gx x^nu I_{nu+1}"),
+        False, False, _nu_gt(-0.5),
+        _const_times_i(lambda nu, g: (2.0 * nu + 3.0) / ((2.0 * nu + 1.0) * (1.0 - g))),
+        _family_nu_nu, _upper),
     BoundId.GAU1: _Entry(
-        Direction.UPPER, False, False, _ok_halfplus, _v_gau1, _family_nu_nu,
-        "constant 2(nu+1)/((2nu+1)(1-gamma)) times e^-gx x^nu I_{nu+1}"),
-    BoundId.BAAAD: _Entry(
-        Direction.UPPER, False, False, _ok_halfplus, _v_baaad, _family_nu_nu,
-        "like GAU1 with the I_{nu+3} correction retained"),
-    BoundId.NEW1: _New1Entry(
-        Direction.UPPER, True, False, _ok_new1, _v_new1, _family_nu_nun,
-        "two-term I_{nu+n+1}, I_{nu+n+3} upper bound for the shifted order"),
-    BoundId.LOWER4: _Entry(
-        Direction.LOWER, True, False, _ok_lower4, _v_lower4, _family_nu_nun,
-        "three-term I_{nu+n+1,3,5} lower bound for the shifted order"),
-    BoundId.TWOSIDED_L: _Entry(
-        Direction.LOWER, True, False, _ok_twosided, _v_lower4, _family_nu_nun,
-        "gamma = 0 specialisation of LOWER4"),
-    BoundId.TWOSIDED_U: _Entry(
-        Direction.UPPER, True, False, _ok_twosided, _v_new1, _family_nu_nun,
-        "gamma = 0 specialisation of NEW1"),
-    BoundId.LOWER1: _Lower1Entry(
-        Direction.LOWER, False, False, _ok_nu_gt(-1.0), _v_lower1,
-        lambda p: IntegralSpec(p.nu + 1.0, p.nu, p.gamma, p.x),
-        "geometric series e^-gx x^(nu+1) sum g^k I_{nu+k+1} under F(nu+1, nu); "
-        "exact equality at gamma = 0"),
-    BoundId.LOWER3: _Entry(
-        Direction.LOWER, False, False, _ok_nu_gt(-0.5), _v_lower3, _family_nu_nu,
-        "geometric series e^-gx x^nu sum g^k I_{nu+k+1} under F(nu, nu)"),
+        False, False, _ok_halfplus,
+        _const_times_i(lambda nu, g: 2.0 * (nu + 1.0) / ((2.0 * nu + 1.0) * (1.0 - g))),
+        _family_nu_nu, _upper),
+    BoundId.BAAAD: _Entry(False, False, _ok_halfplus, _v_baaad, _family_nu_nu, _upper),
+    BoundId.NEW1: _NEW1,
+    BoundId.LOWER4: _LOWER4,
+    BoundId.TWOSIDED_L: replace(_LOWER4, hypothesis=_ok_gamma_zero),
+    BoundId.TWOSIDED_U: replace(_NEW1, hypothesis=_ok_gamma_zero, direction_at=_upper),
+    BoundId.LOWER1: _Entry(
+        False, False, _nu_gt(-1.0), _geometric(1.0),
+        lambda p: IntegralSpec(p.nu + 1.0, p.nu, p.gamma, p.x), _lower1_direction),
+    BoundId.LOWER3: _Entry(False, False, _nu_gt(-0.5), _geometric(0.0), _family_nu_nu, _lower),
     BoundId.INTINEQ0: _Entry(
-        Direction.LOWER, False, False, _ok_nu_gt(0.5), _v_lower2_like,
-        lambda p: IntegralSpec(p.nu, p.nu + 1.0, p.gamma, p.x),
-        "1/x-corrected multiple of e^-gx x^nu I_nu under F(nu, nu+1)"),
-    BoundId.LOWER2: _Entry(
-        Direction.LOWER, False, False, _ok_nu_gt(0.5), _v_lower2_like, _family_nu_nu,
-        "1/x-corrected multiple of e^-gx x^nu I_nu under F(nu, nu)"),
+        False, False, _nu_gt(0.5), _v_lower2_like,
+        lambda p: IntegralSpec(p.nu, p.nu + 1.0, p.gamma, p.x), _lower),
+    BoundId.LOWER2: _Entry(False, False, _nu_gt(0.5), _v_lower2_like, _family_nu_nu, _lower),
     BoundId.PROP1: _Entry(
-        Direction.UPPER, False, True, _ok_prop1, _v_prop1,
+        False, True, _ok_prop1, _v_prop1,
         lambda p: IntegralSpec(p.mu if p.mu is not None else p.nu, p.nu, p.gamma, p.x),
-        "e^-gx x^mu I_nu/(1-gamma); reverses for mu < 1/2 at large x"),
-    BoundId.NEED2: _Entry(
-        Direction.UPPER, False, False, _ok_nu_gt(-0.5), _v_need2, _family_nu_nu,
-        "((2(nu+1)/x + g) I_{nu+1} + g^2 I_{nu+2}) e^-gx x^(nu+1)/(2nu+1)"),
+        _upper),
+    BoundId.NEED2: _Entry(False, False, _nu_gt(-0.5), _v_need2, _family_nu_nu, _upper),
     BoundId.DAY: _Entry(
-        Direction.LOWER, True, False, _ok_day, _v_day,
-        lambda p: IntegralSpec(p.nu, p.nu + p.n + 2.0, p.gamma, p.x),
-        "single term e^-gx x^nu I_{nu+n+3} under F(nu, nu+n+2)"),
+        True, False, _ok_day, _v_day,
+        lambda p: IntegralSpec(p.nu, p.nu + p.n + 2.0, p.gamma, p.x), _lower),
 }
 
 

@@ -344,8 +344,7 @@ def _tightness(args):
 
 
 def _crossover(args):
-    xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max,
-                           tol=max(args.tol / 10.0, TOL_MIN))
+    xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max, tol=args.tol)
     return (
         {"mu": args.mu, "nu": args.nu, "gamma": args.gamma, "x_max": args.x_max,
          "tol": args.tol},

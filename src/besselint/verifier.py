@@ -15,6 +15,7 @@ an integral share its oracle result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +33,7 @@ from .bounds import (
 from .errors import BesselIntError, InvalidDomain, NotFound
 from . import kernel
 from .oracle import (
+    TOL_MIN,
     IntegralSpec,
     QuadResult,
     bessel_integral,
@@ -143,6 +145,11 @@ class SweepResult:
         }
 
 
+def _oracle_tol(tol: float) -> float:
+    """Oracle tolerance for checks at ``tol``: ten times finer, at least TOL_MIN."""
+    return max(tol / 10.0, TOL_MIN)
+
+
 def _margin(direction: Direction, ratio: float) -> float:
     """Signed relative margin; positive means the inequality holds."""
     if direction is Direction.UPPER:
@@ -196,15 +203,9 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     probed outside its validity domain (e.g. PROP1 with mu < 1/2, which is
     expected to flip at large x).
     """
-    entry = CATALOG[id]
-    if not exploratory:
-        reason = entry.invalid_reason(point)
-        if reason is not None:
-            raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
     ev = bound_value(id, nu=point.nu, n=point.n, mu=point.mu,
-                     gamma=point.gamma, x=point.x, check_domain=False)
-    spec = entry.integrand(point)
-    oracle = bessel_integral(spec, max(tol / 10.0, 1e-13))
+                     gamma=point.gamma, x=point.x, check_domain=not exploratory)
+    oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
     return _report_from_values(ev, oracle, tol)
 
 
@@ -252,24 +253,20 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
     the sweep goes on.
     Output ordering is canonical regardless of the order of ``ids``.
     """
-    oracle_tol = max(tol / 10.0, 1e-13)
+    oracle_tol = _oracle_tol(tol)
     tasks: list[tuple[BoundId, Point]] = []
     skipped: list[SkippedPoint] = []
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
-        n_axis = sorted(grid.n_values) if entry.uses_n else [0.0]
-        mu_axis = sorted(grid.mu_values) if entry.uses_mu else [None]
-        for nu in sorted(grid.nu_values):
-            for n in n_axis:
-                for mu in mu_axis:
-                    for gamma in sorted(grid.gamma_values):
-                        for x in sorted(grid.x_values):
-                            point = Point(nu=nu, n=n, mu=mu, gamma=gamma, x=x)
-                            reason = entry.invalid_reason(point)
-                            if reason is not None:
-                                skipped.append(SkippedPoint(bid, point, reason))
-                            else:
-                                tasks.append((bid, point))
+        axes = (sorted(grid.nu_values), sorted(grid.n_values) if entry.uses_n else [0.0],
+                sorted(grid.mu_values) if entry.uses_mu else [None],
+                sorted(grid.gamma_values), sorted(grid.x_values))
+        for point in itertools.starmap(Point, itertools.product(*axes)):  # nu, n, mu, gamma, x
+            reason = entry.invalid_reason(point)
+            if reason is not None:
+                skipped.append(SkippedPoint(bid, point, reason))
+            else:
+                tasks.append((bid, point))
 
     # group oracle work by integrand; each group is one row
     rows: dict[tuple[float, float, float], set[float]] = {}
@@ -339,22 +336,14 @@ def _round4(v: float) -> float:
 
 def relative_error_table(bound: BoundId, nu_values: Sequence[float],
                          x_values: Sequence[float], tol: float = 1e-11) -> RelErrTable:
-    """Relative errors |bound - F|/F of the two-sided enclosure at gamma=0, n=0."""
+    """Relative errors |bound/F - 1| of the two-sided enclosure at gamma = 0, n = 0,
+    rounded half-up to 4 places; each row (one nu) is a :func:`tightness_scan`."""
     if bound not in (BoundId.TWOSIDED_L, BoundId.TWOSIDED_U):
         raise InvalidDomain("tables are defined for twosided_l / twosided_u")
-    xs = sorted(x_values)
     rows = []
     for nu in nu_values:
-        oracle_vals = cumulative_bessel_integral(nu, nu, 0.0, xs, tol)
-        by_x = dict(zip(xs, oracle_vals))
-        row = []
-        for x in x_values:
-            ev = bound_value(bound, nu=nu, n=0.0, gamma=0.0, x=x)
-            f = by_x[x].value
-            row.append(_round4(abs(ev.value - f).to_float() / f.to_float()
-                               if f.log_abs < 700.0
-                               else math.exp(abs(ev.value - f).log_abs - f.log_abs)))
-        rows.append(tuple(row))
+        ratios = tightness_scan(bound, Point(nu=nu), x_values, tol)
+        rows.append(tuple(_round4(abs(r - 1.0)) for r in ratios))
     return RelErrTable(bound=bound, nu_values=tuple(nu_values),
                        x_values=tuple(x_values), entries=tuple(rows))
 
@@ -369,22 +358,14 @@ def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float],
 
     The caller asserts the monotone approach to 1 in the claimed limit.
     """
-    entry = CATALOG[id]
-    points = [Point(nu=template.nu, n=template.n, mu=template.mu,
-                    gamma=template.gamma, x=x) for x in x_sequence]
-    for p in points:
-        reason = entry.invalid_reason(p)
-        if reason is not None:
-            raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
-    xs = sorted({p.x for p in points})
-    spec0 = entry.integrand(points[0])
+    # bound_value checks every point's hypotheses before any oracle work
+    evals = [bound_value(id, nu=template.nu, n=template.n, mu=template.mu,
+                         gamma=template.gamma, x=x) for x in x_sequence]
+    xs = sorted(set(x_sequence))
+    spec = CATALOG[id].integrand(template)  # every point shares it up to x
     oracle_vals = dict(zip(xs, cumulative_bessel_integral(
-        spec0.mu, spec0.ord, spec0.gamma, xs, max(tol / 10.0, 1e-13))))
-    ratios = []
-    for p in points:
-        ev = bound_value(id, nu=p.nu, n=p.n, mu=p.mu, gamma=p.gamma, x=p.x)
-        ratios.append((ev.value / oracle_vals[p.x].value).to_float())
-    return ratios
+        spec.mu, spec.ord, spec.gamma, xs, _oracle_tol(tol))))
+    return [(ev.value / oracle_vals[ev.point.x].value).to_float() for ev in evals]
 
 
 def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0,
@@ -395,7 +376,7 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0,
     the function returns None.  For ``mu < 1/2`` a sign change exists for
     large enough x; if none is found below ``x_max``, :class:`NotFound`
     reports the range searched.  Bisection refines the bracket to relative
-    width 1e-6.
+    width 1e-6.  As in :func:`check_point`, the oracle runs at ``tol/10``.
     """
     if not mu + nu > -1.0:
         raise InvalidDomain(f"needs mu + nu > -1, got {mu + nu}")
@@ -407,7 +388,7 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0,
         return None
 
     def defect_sign(x: float) -> int:
-        f = bessel_integral(IntegralSpec(mu, nu, gamma, x), tol).value
+        f = bessel_integral(IntegralSpec(mu, nu, gamma, x), _oracle_tol(tol)).value
         comp = (ScaledValue.from_log(-gamma * x + mu * math.log(x))
                 * kernel.besseli(nu, x) / (1.0 - gamma))
         return (f - comp).sign

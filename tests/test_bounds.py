@@ -30,6 +30,44 @@ def oracle(id: BoundId, **kw) -> ScaledValue:
     return bessel_integral(CATALOG[id].integrand(p), 1e-12).value
 
 
+# one point just outside each hypothesis, with the full message it must give
+VIOLATIONS = [
+    (BoundId.MAIN, dict(nu=-0.6), "nu > -0.5 (got nu=-0.6)"),
+    (BoundId.MAIN, dict(nu=0.0, gamma=1.0), "0 <= gamma < 1 (got gamma=1.0)"),
+    (BoundId.MAIN, dict(nu=0.0, x=0.0), "x > 0 (got x=0.0)"),
+    (BoundId.SIMPLE, dict(nu=-0.5), "nu > -0.5 (got nu=-0.5)"),
+    (BoundId.GAU1, dict(nu=0.0, gamma=0.5),
+     "nu >= 1/2, or nu > -1/2 with gamma = 0 (got nu=0.0, gamma=0.5)"),
+    (BoundId.BAAAD, dict(nu=-0.5),
+     "nu >= 1/2, or nu > -1/2 with gamma = 0 (got nu=-0.5, gamma=0.0)"),
+    (BoundId.NEW1, dict(nu=0.0, n=-1.0),
+     "nu > 0 at the equality point (got nu=0.0)"),
+    (BoundId.NEW1, dict(nu=0.5, n=-2.0),
+     "nu > -(n+1) in the reversed regime (got nu=0.5, n=-2.0)"),
+    (BoundId.NEW1, dict(nu=1.0, n=-1.0, gamma=0.5), "n > -1 (got n=-1.0)"),
+    (BoundId.NEW1, dict(nu=-0.6, n=0.0), "nu > -(n+1)/2 (got nu=-0.6, n=0.0)"),
+    (BoundId.NEW1, dict(nu=0.4, n=0.0, gamma=0.5),
+     "nu >= 1/2 when gamma > 0 (got nu=0.4)"),
+    (BoundId.LOWER4, dict(nu=1.0, n=-1.0), "n > -1 (got n=-1.0)"),
+    (BoundId.LOWER4, dict(nu=-1.0, n=1.0), "nu > -(n+1)/2 (got nu=-1.0, n=1.0)"),
+    (BoundId.TWOSIDED_L, dict(nu=1.0, gamma=0.5), "gamma = 0 (got gamma=0.5)"),
+    (BoundId.TWOSIDED_L, dict(nu=1.0, n=-1.0), "n > -1 (got n=-1.0)"),
+    (BoundId.TWOSIDED_U, dict(nu=1.0, gamma=0.5), "gamma = 0 (got gamma=0.5)"),
+    (BoundId.TWOSIDED_U, dict(nu=1.0, n=-2.0), "n > -1 (got n=-2.0)"),
+    (BoundId.TWOSIDED_U, dict(nu=-0.6, n=0.0), "nu > -(n+1)/2 (got nu=-0.6, n=0.0)"),
+    (BoundId.LOWER1, dict(nu=-1.0), "nu > -1.0 (got nu=-1.0)"),
+    (BoundId.LOWER3, dict(nu=-0.5), "nu > -0.5 (got nu=-0.5)"),
+    (BoundId.INTINEQ0, dict(nu=0.5), "nu > 0.5 (got nu=0.5)"),
+    (BoundId.LOWER2, dict(nu=0.5), "nu > 0.5 (got nu=0.5)"),
+    (BoundId.PROP1, dict(nu=1.0), "mu must be supplied"),
+    (BoundId.PROP1, dict(nu=0.5, mu=0.4), "mu >= nu >= 1/2 (got mu=0.4, nu=0.5)"),
+    (BoundId.PROP1, dict(nu=0.4, mu=1.0), "mu >= nu >= 1/2 (got mu=1.0, nu=0.4)"),
+    (BoundId.NEED2, dict(nu=-0.5), "nu > -0.5 (got nu=-0.5)"),
+    (BoundId.DAY, dict(nu=1.0, n=-3.0), "n > -3 (got n=-3.0)"),
+    (BoundId.DAY, dict(nu=-1.0, n=-1.0), "nu > -(n+3)/2 (got nu=-1.0, n=-1.0)"),
+]
+
+
 class TestConstants:
     def test_c_nu_values(self):
         assert c_nu(0.0) == 0.0
@@ -88,19 +126,42 @@ class TestBoundValues:
         rel = abs((ev.value - f).to_float()) / f.to_float()
         assert rel == pytest.approx(expected, abs=5e-5)
 
-    def test_validity_violations_name_the_hypothesis(self):
-        with pytest.raises(InvalidDomain, match="nu > -0.5"):
-            bound_value(BoundId.MAIN, nu=-0.6, gamma=0.0, x=1.0)
-        with pytest.raises(InvalidDomain, match="gamma"):
-            bound_value(BoundId.MAIN, nu=0.0, gamma=1.0, x=1.0)
-        with pytest.raises(InvalidDomain, match="nu >= 1/2"):
-            bound_value(BoundId.GAU1, nu=0.0, gamma=0.5, x=1.0)
-        with pytest.raises(InvalidDomain, match="nu > 0.5"):
-            bound_value(BoundId.INTINEQ0, nu=0.5, gamma=0.0, x=1.0)
-        with pytest.raises(InvalidDomain, match="mu"):
-            bound_value(BoundId.PROP1, nu=1.0, gamma=0.0, x=1.0)
+    @pytest.mark.parametrize("bid, kw, reason", VIOLATIONS,
+                             ids=[f"{bid.value}-{i}" for i, (bid, _, _) in enumerate(VIOLATIONS)])
+    def test_validity_violations_name_the_hypothesis(self, bid, kw, reason):
+        kw = {"gamma": 0.0, "x": 1.0, **kw}
+        with pytest.raises(InvalidDomain) as exc:
+            bound_value(bid, **kw)
+        assert str(exc.value) == f"{bid.value}: violated hypothesis: {reason}"
+        point = Point(nu=kw["nu"], n=kw.get("n", 0.0), mu=kw.get("mu"),
+                      gamma=kw["gamma"], x=kw["x"])
+        assert CATALOG[bid].invalid_reason(point) == reason
+
+    def test_every_bound_has_a_pinned_violation(self):
+        assert {bid for bid, _, _ in VIOLATIONS} == set(BoundId)
+
+    @pytest.mark.parametrize("alias, base", [
+        (BoundId.TWOSIDED_L, BoundId.LOWER4),
+        (BoundId.TWOSIDED_U, BoundId.NEW1),
+    ])
+    def test_twosided_are_gamma_zero_aliases(self, alias, base):
+        g = default_grid()
+        for nu in g.nu_values:
+            for n in g.n_values:  # every grid n is > -1, where TWOSIDED_U is NEW1
+                for x in (1e-3, 1.0, 200.0):
+                    point = Point(nu=nu, n=n, gamma=0.0, x=x)
+                    if CATALOG[base].invalid_reason(point) is not None:
+                        assert CATALOG[alias].invalid_reason(point) is not None
+                        continue
+                    a = bound_value(alias, nu=nu, n=n, gamma=0.0, x=x)
+                    b = bound_value(base, nu=nu, n=n, gamma=0.0, x=x)
+                    case = (nu, n, x)
+                    assert a.value == b.value and a.tail_bound == b.tail_bound, case
+                    assert a.direction is b.direction, case
+                    assert a.truncation_terms == b.truncation_terms, case
+                    assert CATALOG[alias].integrand(point) == CATALOG[base].integrand(point)
         with pytest.raises(InvalidDomain, match="gamma = 0"):
-            bound_value(BoundId.TWOSIDED_L, nu=1.0, gamma=0.5, x=1.0)
+            bound_value(alias, nu=1.0, n=0.0, gamma=0.5, x=1.0)
 
     def test_boundary_points(self):
         # closed boundaries are accepted
