@@ -157,21 +157,6 @@ def x_star(nu: float, gamma: float) -> float:
 _FIRST_RATIO_BLOCK = 8
 
 
-def _ratio_block(lo: float, count: int, x: float) -> list[float]:
-    """``I_{m+1}(x)/I_m(x)`` for ``m = lo, lo+1, ..., lo+count-1``.
-
-    One continued fraction at the top order seeds the downward recurrence
-    ``r_{m-1} = 1/(2m/x + r_m)``, the stable direction for I.
-    """
-    r = kernel.besseli_ratio(lo + count - 1, x)
-    block = [r]
-    for i in range(count - 1, 0, -1):
-        r = 1.0 / (2.0 * (lo + i) / x + r)
-        block.append(r)
-    block.reverse()
-    return block
-
-
 def geometric_tail_series(nu: float, gamma: float, x: float,
                           series_tol: float = DEFAULT_SERIES_TOL,
                           max_terms: Optional[int] = None
@@ -215,7 +200,7 @@ def geometric_tail_series(nu: float, gamma: float, x: float,
     terms = 1
     while True:
         if terms > len(ratios):
-            ratios += _ratio_block(nu + len(ratios) + 1.0, block, x)
+            ratios += kernel.besseli_ratios(nu + len(ratios) + 1.0, block, x)
             block *= 2
         q = gamma * ratios[terms - 1]
         tail = term * q / (1.0 - q)

@@ -48,9 +48,12 @@ EXIT_NUMERICAL = 3
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"no number in {text!r}")
+    return values
 
 
 def _bound_id(text: str) -> BoundId:

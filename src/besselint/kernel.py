@@ -3,17 +3,18 @@
 Evaluation strategy for ``I_nu(x)``:
 
 * ``x <= max(18.5, 2|nu|)`` -- ascending power series
-  ``I_nu(x) = sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))`` summed in log
-  space, so neither large arguments nor large orders overflow.  For
-  ``nu > -1`` every term is positive; below that the finitely many
-  negative terms are accumulated separately.
+  ``I_nu(x) = sum_k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))``, summed by
+  :func:`power_series_sum` (which also sums the oracle's integral series)
+  in a float frame with one log anchor at ``k = 0`` and stopped on a
+  certified tail.  For ``nu < -1`` the head terms alternate in sign and
+  go through the same signed term ratios.
 * larger ``x`` -- the large-argument expansion
   ``I_nu(x) ~ e^x/sqrt(2 pi x) * sum_k (-1)^k a_k(nu) x^-k`` evaluated at
   the order reduced to ``[-1/2, 1/2)`` where it converges fastest, then
-  rescaled to the requested order through the continued-fraction ratio
-  ``I_{nu+1}/I_nu`` and a backward ratio recurrence (the stable direction
-  for I).  Orders below -1/2 go through the reflection
-  ``I_{-mu} = I_mu + (2/pi) sin(mu pi) K_mu`` (DLMF 10.27.2).
+  rescaled to the requested order by the ratios of :func:`besseli_ratios`
+  (a continued fraction at the top order, then the backward recurrence,
+  the stable direction for I).  Orders below -1/2 go through the
+  reflection ``I_{-mu} = I_mu + (2/pi) sin(mu pi) K_mu`` (DLMF 10.27.2).
 
 ``K_nu(x)`` integrates ``e^{-x cosh t} cosh(nu t)`` over ``[0, inf)`` with
 the trapezoidal rule and step halving; the integrand decays doubly
@@ -25,16 +26,19 @@ Every function here is pure; results depend only on the arguments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
-from .scaled import ScaledValue, signed_logsum
+from .scaled import ScaledValue
 
 __all__ = [
     "besseli",
     "besselk",
     "besseli_ratio",
+    "besseli_ratios",
+    "power_series_sum",
     "asym_small",
     "asym_large",
     "gamma_sign",
@@ -49,7 +53,15 @@ ACCURACY_SMALL_X = 1e-12
 ACCURACY_LARGE_X = 1e-10
 
 _SERIES_SWITCH = 18.5
+#: most terms the I power series may use
+_SERIES_TERMS = 20000
+#: relative tolerance of the K trapezoid sums
+_K_TOL = 1e-13
 _LOG2 = math.log(2.0)
+#: unit roundoff of IEEE double arithmetic
+_U = 2.0 ** -53
+#: a frame value past this is rescaled by an exact power of two
+_FRAME_MAX = 2.0 ** 500
 
 
 def gamma_sign(a: float) -> int:
@@ -63,25 +75,46 @@ def is_nonpositive_int(a: float) -> bool:
     return a <= 0 and a == math.floor(a)
 
 
+def power_series_sum(order: float, x2_4: float, factors):
+    """Sum a series whose term ratios are ``x2_4/((k+1)(order+k+1))`` times
+    ``factors[k]``, relative to ``T_0``; None when the factors run out before
+    the tail is certified.
+
+    Every factor must lie in ``[0, 1]`` once ``order + k + 1 > 0``, so that
+    ``q = x2_4/((K+1)(order+K+1))`` bounds every later term ratio and the
+    tail after term K is at most ``T_K q/(1-q)``.  Terms are added until
+    that tail is below one rounding unit of the sum.  ``factors`` is any
+    iterable; its length caps the number of terms.
+
+    Returns ``(sum, sum of |T_k|, certified tail, frame exponent, terms)``:
+    the first three are in units of ``T_0 * 2^frame_exponent``.
+    """
+    t = s = a = 1.0
+    shift = 0
+    for k, ratio in enumerate(factors):
+        c = order + k + 1.0
+        q = x2_4 / ((k + 1) * c)
+        if c > 0.0 and q < 1.0:
+            tail = abs(t) * q / (1.0 - q)
+            if tail <= _U * abs(s):
+                return s, a, tail, shift, k + 1
+        t *= q * ratio
+        s += t
+        a += abs(t)
+        if abs(t) > _FRAME_MAX:
+            t, e = math.frexp(t)
+            s, a, shift = math.ldexp(s, -e), math.ldexp(a, -e), shift + e
+    return None
+
+
 def _besseli_series(order: float, x: float) -> ScaledValue:
-    lh = math.log(0.5 * x)
-    x2_4 = 0.25 * x * x
-    pos: list[float] = []
-    neg: list[float] = []
-    best = -math.inf
-    k = 0
-    while k <= 20000:
-        a = order + k + 1
-        if not is_nonpositive_int(a):
-            lt = (order + 2 * k) * lh - math.lgamma(k + 1) - math.lgamma(a)
-            (pos if gamma_sign(a) > 0 else neg).append(lt)
-            if lt > best:
-                best = lt
-            # past the peak (term ratio < 1/2) and 40 nats down: converged
-            if lt < best - 40.0 and x2_4 < 0.5 * (k + 1) * abs(a):
-                return signed_logsum(pos, neg)
-        k += 1
-    raise NonConvergence(f"I power series stalled at order={order}, x={x}")
+    summed = power_series_sum(order, 0.25 * x * x, itertools.repeat(1.0, _SERIES_TERMS))
+    if summed is None:
+        raise NonConvergence(f"I power series stalled at order={order}, x={x}")
+    s, _, _, shift, _ = summed
+    log_t0 = order * (math.log(x) - _LOG2) - math.lgamma(order + 1.0)  # x/2 may underflow
+    sign = gamma_sign(order + 1.0) * (1 if s > 0 else -1)
+    return ScaledValue.from_log(math.log(abs(s)) + shift * _LOG2 + log_t0, sign)
 
 
 def _asym_series_log(nu: float, x: float) -> tuple[float, float]:
@@ -110,31 +143,6 @@ def _asym_series_log(nu: float, x: float) -> tuple[float, float]:
     return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(s), est
 
 
-def _ratio_cf(nu: float, x: float) -> float:
-    """I_{nu+1}(x)/I_nu(x) by the continued fraction, modified Lentz."""
-    tiny = 1e-300
-    f = tiny
-    c = f
-    d = 0.0
-    k = 0
-    kmax = 30000 + int(4.0 * x)
-    while k < kmax:
-        k += 1
-        b = 2.0 * (nu + k) / x
-        d = b + d
-        if d == 0.0:
-            d = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 5e-16:
-            return f
-    raise NonConvergence(f"I ratio continued fraction stalled at nu={nu}, x={x}")
-
-
 def _besseli_large(order: float, x: float) -> ScaledValue:
     # reduce to an anchor order in [-1/2, 1/2) where the expansion is sharpest
     m = int(math.floor(order + 0.5))
@@ -145,13 +153,8 @@ def _besseli_large(order: float, x: float) -> ScaledValue:
         return _besseli_series(order, x)
     if m == 0:
         return ScaledValue.from_log(log_anchor)
-    r = _ratio_cf(order - 1.0, x)  # I_order / I_{order-1}
-    log_prod = math.log(r)
-    mu = order - 1.0
-    for _ in range(m - 1):
-        r = 1.0 / (2.0 * mu / x + r)  # ratio at the next order down
-        mu -= 1.0
-        log_prod += math.log(r)
+    # I_order / I_frac is the product of the m ratios from frac upwards
+    log_prod = math.fsum(map(math.log, besseli_ratios(frac, m, x)))
     return ScaledValue.from_log(log_anchor + log_prod)
 
 
@@ -192,7 +195,7 @@ def _log_cosh(u: float) -> float:
 
 
 @lru_cache(maxsize=250000)
-def besselk(order: float, x: float, tol: float = 1e-13) -> ScaledValue:
+def besselk(order: float, x: float) -> ScaledValue:
     """Modified Bessel function of the second kind; even in the order."""
     if x <= 0:
         raise InvalidDomain(f"besselk requires x > 0, got {x}")
@@ -223,7 +226,7 @@ def besselk(order: float, x: float, tol: float = 1e-13) -> ScaledValue:
     for _ in range(12):
         h *= 0.5
         cur = trap_log_sum(h)
-        if abs(math.expm1(prev - cur)) <= 0.25 * tol:
+        if abs(math.expm1(prev - cur)) <= 0.25 * _K_TOL:
             return ScaledValue.from_log(cur - x)
         prev = cur
     raise NonConvergence(f"K quadrature stalled at order={order}, x={x}")
@@ -238,7 +241,43 @@ def besseli_ratio(nu: float, x: float) -> float:
         raise InvalidDomain(f"besseli_ratio requires x > 0, got {x}")
     if nu < -0.5:
         raise InvalidDomain(f"besseli_ratio requires nu >= -1/2, got {nu}")
-    return _ratio_cf(nu, x)
+    # continued fraction, modified Lentz
+    tiny = 1e-300
+    f = tiny
+    c = f
+    d = 0.0
+    k = 0
+    kmax = 30000 + int(4.0 * x)
+    while k < kmax:
+        k += 1
+        b = 2.0 * (nu + k) / x
+        d = b + d
+        if d == 0.0:
+            d = tiny
+        c = b + 1.0 / c
+        if c == 0.0:
+            c = tiny
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < 5e-16:
+            return f
+    raise NonConvergence(f"I ratio continued fraction stalled at nu={nu}, x={x}")
+
+
+def besseli_ratios(lo: float, count: int, x: float) -> list[float]:
+    """``I_{m+1}(x)/I_m(x)`` for ``m = lo, lo+1, ..., lo+count-1``.
+
+    One continued fraction at the top order seeds the downward recurrence
+    ``r_{m-1} = 1/(2m/x + r_m)``, the stable direction for I.
+    """
+    r = besseli_ratio(lo + count - 1, x)
+    block = [r]
+    for i in range(count - 1, 0, -1):
+        r = 1.0 / (2.0 * (lo + i) / x + r)
+        block.append(r)
+    block.reverse()
+    return block
 
 
 def asym_small(order: float, x: float) -> float:
@@ -246,8 +285,10 @@ def asym_small(order: float, x: float) -> float:
     if order < 0 and order == math.floor(order):
         raise InvalidOrder(f"negative integer order {order} is not supported")
     if x == 0.0:
+        if order < 0:
+            raise InvalidDomain(f"I_nu(0) diverges for negative order {order}")
         return 1.0 if order == 0 else 0.0
-    lead = math.exp(order * math.log(0.5 * x) - math.lgamma(order + 1.0)) * gamma_sign(order + 1.0)
+    lead = math.exp(order * (math.log(x) - _LOG2) - math.lgamma(order + 1.0)) * gamma_sign(order + 1.0)
     return lead * (1.0 + x * x / (4.0 * (order + 1.0)))
 
 

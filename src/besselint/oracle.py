@@ -13,9 +13,11 @@ Consecutive terms differ by the factor
 ``x^2/(4 (k+1)(ord+k+1)) * S(p_k+2)/S(p_k)``.  The S ratios come from the
 downward recurrence ``w(p) = p w(p+1) / (w(p+1) + z)`` on ``w = 1/S``,
 which is the stable direction (Gautschi 1967, SIAM Rev. 9).  The terms
-are summed in a float frame built from these ratios, with one log anchor
-at ``k = 0``, so the integral's ``e^((1-gamma) x)`` growth never
-overflows.  Since ``S(p+2) <= S(p)``, every later term ratio is at most
+are summed by :func:`kernel.power_series_sum`, the summer of the ``I_ord``
+power series itself, with the S ratios as its factors: a float frame
+built from the term ratios, with one log anchor at ``k = 0``, so the
+integral's ``e^((1-gamma) x)`` growth never overflows.  Since
+``S(p+2) <= S(p)``, every later term ratio is at most
 ``q = x^2/(4 (K+1)(ord+K+1))``, and the tail after term K is certified by
 ``T_K q/(1-q)``.  Terms are added until that tail is below one rounding
 unit of the sum.  ``abs_err`` is an a-priori bound: the rounding of the
@@ -155,31 +157,6 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
     return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
 
 
-def _frame_sum(order: float, x2_4: float, ratios: list[float]):
-    """Sum up to ``len(ratios)`` terms relative to ``T_0``; None when the
-    tail is not yet certified.
-
-    Returns ``(sum, sum of |T_k|, certified tail, frame exponent, terms)``:
-    the first three are in units of ``T_0 * 2^frame_exponent``.
-    """
-    t = s = a = 1.0
-    shift = 0
-    for k, ratio in enumerate(ratios):
-        c = order + k + 1.0
-        q = x2_4 / ((k + 1) * c)
-        if c > 0.0 and q < 1.0:
-            tail = abs(t) * q / (1.0 - q)
-            if tail <= _U * abs(s):
-                return s, a, tail, shift, k + 1
-        t *= q * ratio
-        s += t
-        a += abs(t)
-        if abs(t) > _FRAME_MAX:
-            t, e = math.frexp(t)
-            s, a, shift = math.ldexp(s, -e), math.ldexp(a, -e), shift + e
-    return None
-
-
 def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> QuadResult:
     if kernel.is_nonpositive_int(order + 1.0):
         raise InvalidOrder(f"negative integer order {order} is not supported")
@@ -197,7 +174,7 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
         else:
             ratios = [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)]
             log_s0, steps = -math.log(p0), 0
-        summed = _frame_sum(order, 0.25 * x * x, ratios)
+        summed = kernel.power_series_sum(order, 0.25 * x * x, ratios)
         if summed is not None:
             break
         n *= 2

@@ -6,6 +6,8 @@ immune to overflow; sums of same-sign values go through log-sum-exp.  This
 is the carrier type for everything in this package that grows like
 ``exp((1-gamma)*x)``, which exceeds float range long before x reaches the
 upper end of the supported domain.
+Power series are summed in a float frame by ``kernel.power_series_sum``,
+not term by term here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ScaledValue", "signed_logsum"]
+__all__ = ["ScaledValue"]
 
 #: values with |log| below this render as a plain float without overflow
 _FLOAT_SAFE_LOG = 700.0
@@ -181,23 +183,6 @@ class ScaledValue:
         if self.sign == 0:
             return "ScaledValue(0)"
         return f"ScaledValue(sign={self.sign:+d}, log_abs={self.log_abs!r})"
-
-
-def signed_logsum(pos, neg) -> ScaledValue:
-    """Combine log-magnitude term lists of either sign into one value."""
-
-    def lse(logs):
-        if not logs:
-            return -math.inf
-        m = max(logs)
-        return m + math.log(math.fsum(math.exp(v - m) for v in logs))
-
-    lp, ln = lse(pos), lse(neg)
-    if ln == -math.inf:
-        return ScaledValue.from_log(lp) if lp > -math.inf else ScaledValue.zero()
-    if lp == -math.inf:
-        return ScaledValue.from_log(ln, -1)
-    return ScaledValue.from_log(lp) - ScaledValue.from_log(ln)
 
 
 def _coerce(value) -> ScaledValue:

@@ -113,13 +113,18 @@ class TestUsageErrors:
         ("--x-logspace", "1,10,abc"),
         ("--x-logspace", "0,10,3"),
         ("--x-logspace", "5,6,1"),  # valid, but --x is given too
+        ("--nu", ","),
+        ("--gamma", ""),
+        ("--x", ","),
     ])
     def test_bad_sweep_grid_flag(self, flag, value):
-        verbs = [["sweep", "--bounds", "main"]]
+        verbs = [["sweep", "--bounds", "main", "--gamma", "0"]]
         if flag == "--x-logspace":
-            verbs.append(["tightness", "--bound", "main"])
+            verbs.append(["tightness", "--bound", "main", "--gamma", "0"])
+        if flag in ("--nu", "--x"):
+            verbs.append(["table", "--bound", "twosided_l"])
         for verb in verbs:
-            argv = verb + ["--nu", "0", "--gamma", "0", "--x", "1", flag, value]
+            argv = verb + ["--nu", "0", "--x", "1", flag, value]
             code, out, err = invoke(argv)
             assert code == 2  # not 1, which would read as a VIOLATED bound
             assert out == ""

@@ -2,9 +2,13 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besselint.errors import InvalidDomain, InvalidOrder
-from besselint.kernel import asym_large, asym_small, besseli, besseli_ratio, besselk
+from besselint.kernel import (
+    ACCURACY_LARGE_X, ACCURACY_SMALL_X, asym_large, asym_small, besseli, besseli_ratio,
+    besselk,
+)
 
 from conftest import log_relerr, sv_relerr
 
@@ -37,6 +41,9 @@ class TestBesselI:
     def test_series_limit_at_zero(self):
         assert besseli(0.0, 0.0).to_float() == 1.0
         assert besseli(2.5, 0.0).sign == 0
+        # the least subnormal x, where x/2 rounds to 0: I_{1/2}(x) ~ sqrt(2x/pi)
+        x = 5e-324
+        assert log_relerr(besseli(0.5, x), 0.5 * (math.log(2.0 / math.pi) + math.log(x))) < 1e-15
 
     @pytest.mark.parametrize("order,x,log_expected", [
         (0.0, 1000.0, LOG_I_0_1000),
@@ -70,6 +77,17 @@ class TestBesselI:
                 worst_large = max(worst_large, err)
         assert worst_small < 1e-12
         assert worst_large < 1e-10
+
+    # orders below -1 stay with the fixed cases above: I_nu has real zeros
+    # there (I_{-3/2} near x = 1.2), where no method has a bounded relative
+    # error
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(order=st.floats(-1.0, 60.0, exclude_min=True).filter(lambda v: v != math.floor(v)),
+           x=st.floats(math.log(1e-3), math.log(1000.0)).map(math.exp))
+    def test_advertised_accuracy_against_mpmath(self, order, x):
+        mine = besseli(order, x)
+        err = abs(mp.mpf(mine.sign) * mp.exp(mine.log_abs) / mp.besseli(order, x) - 1)
+        assert err < (ACCURACY_SMALL_X if x <= 50.0 else ACCURACY_LARGE_X)
 
 
 class TestBesselK:
@@ -139,6 +157,11 @@ class TestAsymptotics:
         assert abs(asym_small(0.0, 0.1) - 1.0025015629340956) < 2e-6
         assert asym_small(1.0, 0.2) == pytest.approx(0.1005, rel=1e-14)
         assert asym_small(0.0, 0.0) == 1.0
+        with pytest.raises(InvalidDomain):  # I_nu(0) diverges, as in besseli
+            asym_small(-0.5, 0.0)
+        # the least subnormal x, where x/2 rounds to 0: I_{1/2}(x) ~ sqrt(2x/pi)
+        assert asym_small(0.5, 5e-324) == pytest.approx(
+            math.exp(0.5 * math.log(2.0 / math.pi) + 0.5 * math.log(5e-324)), rel=1e-14)
 
     def test_large_argument_form(self):
         approx = asym_large(0.0, 50.0)
