@@ -75,7 +75,8 @@ __all__ = [
     "m_bound_constant",
 ]
 
-DEFAULT_SERIES_TOL = 1e-12
+#: LOWER1/LOWER3 stop once the certified tail is below this share of the sum
+_SERIES_TOL = 1e-12
 
 
 class Direction(Enum):
@@ -113,10 +114,6 @@ class Point:
     mu: Optional[float] = None
     gamma: float = 0.0
     x: float = 1.0
-
-    def sort_key(self):
-        mu = -math.inf if self.mu is None else self.mu
-        return (self.nu, self.n, mu, self.gamma, self.x)
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,7 @@ def x_star(nu: float, gamma: float) -> float:
 _FIRST_RATIO_BLOCK = 8
 
 
-def geometric_tail_series(nu: float, gamma: float, x: float,
-                          series_tol: float = DEFAULT_SERIES_TOL,
+def geometric_tail_series(nu: float, gamma: float, x: float, *,
                           max_terms: Optional[int] = None
                           ) -> tuple[ScaledValue, int, ScaledValue]:
     """``sum_{k=0}^{K-1} gamma^k I_{nu+k+1}(x)`` with a certified tail bound.
@@ -174,7 +170,7 @@ def geometric_tail_series(nu: float, gamma: float, x: float,
     ``x`` is small against the order.
 
     Without ``max_terms``, K grows until the tail bound drops below
-    ``series_tol`` times the partial sum.  With it, the sum has exactly
+    1e-12 times the partial sum.  With it, the sum has exactly
     ``max(max_terms, 1)`` terms, fewer only when the terms underflow to
     zero.  Every term is positive, so each truncation under-estimates.
 
@@ -191,7 +187,7 @@ def geometric_tail_series(nu: float, gamma: float, x: float,
     if gamma == 0.0 or first.is_zero():
         return first, 1, ScaledValue.zero()
     if max_terms is None:
-        limit, stop_ratio = math.inf, series_tol
+        limit, stop_ratio = math.inf, _SERIES_TOL
     else:  # a fixed truncation level: stop early only once nothing is left
         limit, stop_ratio = max(max_terms, 1), 0.0
     ratios: list[float] = []  # ratios[k] = r_{nu+k+1}
@@ -224,7 +220,7 @@ class _Entry:
     uses_n: bool
     uses_mu: bool
     hypothesis: Callable[[Point], Optional[str]]
-    evaluate: Callable[[Point, float, Optional[int]], tuple[ScaledValue, int, ScaledValue]]
+    evaluate: Callable[[Point], tuple[ScaledValue, int, ScaledValue]]
     integrand: Callable[[Point], IntegralSpec]
     direction_at: Callable[[Point], Direction]
 
@@ -271,13 +267,13 @@ def _nu_gt(threshold: float):
 
 def _const_times_i(const: Callable[[float, float], float]):
     """Evaluator of ``const(nu, gamma) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
-    def evaluate(p: Point, _tol, _mx):
+    def evaluate(p: Point):
         c = const(p.nu, p.gamma)
         return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * c)
     return evaluate
 
 
-def _v_baaad(p: Point, _tol, _mx):
+def _v_baaad(p: Point):
     combo = (kernel.besseli(p.nu + 1.0, p.x) * (2.0 * (p.nu + 1.0))
              - kernel.besseli(p.nu + 3.0, p.x))
     return _no_series(_prefactor(p, p.nu) * combo
@@ -311,7 +307,7 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
     return Direction.UPPER, None
 
 
-def _v_new1(p: Point, _tol, _mx):
+def _v_new1(p: Point):
     s = 2.0 * p.nu + p.n + 1.0
     combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
              - kernel.besseli(p.nu + p.n + 3.0, p.x) * (p.n + 1.0))
@@ -326,7 +322,7 @@ def _ok_lower4(p: Point) -> Optional[str]:
     return None
 
 
-def _v_lower4(p: Point, _tol, _mx):
+def _v_lower4(p: Point):
     s = 2.0 * p.nu + p.n + 1.0
     s3 = 2.0 * p.nu + p.n + 3.0
     combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
@@ -348,8 +344,8 @@ def _ok_gamma_zero(p: Point) -> Optional[str]:
 
 def _geometric(power_offset: float):
     """Evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
-    def evaluate(p: Point, tol, mx):
-        total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x, tol, mx)
+    def evaluate(p: Point):
+        total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x)
         pre = _prefactor(p, p.nu + power_offset)
         return pre * total, terms, pre * tail
     return evaluate
@@ -363,7 +359,7 @@ def _lower1_direction(p: Point) -> Direction:
 
 # -- reciprocal-x corrected lower bounds ---------------------------------
 
-def _v_lower2_like(p: Point, _tol, _mx):
+def _v_lower2_like(p: Point):
     bracket = 1.0 - (2.0 * p.nu * (2.0 * p.nu + c_nu(p.nu - 1.0))
                      / ((2.0 * p.nu - 1.0) * (1.0 - p.gamma) * p.x))
     val = (_prefactor(p, p.nu) * kernel.besseli(p.nu, p.x)
@@ -381,14 +377,14 @@ def _ok_prop1(p: Point) -> Optional[str]:
     return None
 
 
-def _v_prop1(p: Point, _tol, _mx):
+def _v_prop1(p: Point):
     if p.mu is None:
         raise InvalidDomain("PROP1 needs mu")
     return _no_series(_prefactor(p, p.mu) * kernel.besseli(p.nu, p.x)
                       / (1.0 - p.gamma))
 
 
-def _v_need2(p: Point, _tol, _mx):
+def _v_need2(p: Point):
     combo = (kernel.besseli(p.nu + 1.0, p.x)
              * (2.0 * (p.nu + 1.0) / p.x + p.gamma)
              + kernel.besseli(p.nu + 2.0, p.x) * (p.gamma * p.gamma)
@@ -405,7 +401,7 @@ def _ok_day(p: Point) -> Optional[str]:
     return None
 
 
-def _v_day(p: Point, _tol, _mx):
+def _v_day(p: Point):
     return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + p.n + 3.0, p.x))
 
 
@@ -453,8 +449,6 @@ CATALOG: dict[BoundId, _Entry] = {
 
 def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = None,
                 gamma: float = 0.0, x: float = 1.0,
-                series_tol: float = DEFAULT_SERIES_TOL,
-                max_terms: Optional[int] = None,
                 check_domain: bool = True) -> BoundEval:
     """Evaluate one catalog bound at a parameter point.
 
@@ -468,7 +462,7 @@ def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = No
         reason = entry.invalid_reason(point)
         if reason is not None:
             raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
-    value, terms, tail = entry.evaluate(point, series_tol, max_terms)
+    value, terms, tail = entry.evaluate(point)
     return BoundEval(bound=id, point=point, value=value,
                      direction=entry.direction_at(point),
                      truncation_terms=terms, tail_bound=tail)
@@ -478,7 +472,7 @@ def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = No
 # Stein-factor products M_{nu,beta,n}
 # ----------------------------------------------------------------------
 
-def m_value(nu: float, beta: float, n: int, x: float, tol: float = 1e-11) -> ScaledValue:
+def m_value(nu: float, beta: float, n: int, x: float) -> ScaledValue:
     """``e^(-beta x) K_{nu+n}(x) x^(1-nu) integral_0^x e^(beta t) t^nu I_nu(t) dt``.
 
     The exponential tilt ``beta`` lies in (-1, 0]; the integral is the
@@ -492,7 +486,7 @@ def m_value(nu: float, beta: float, n: int, x: float, tol: float = 1e-11) -> Sca
         raise InvalidDomain(f"m_value requires n in {{0, 1, 2}}, got {n}")
     if not x > 0:
         raise InvalidDomain(f"m_value requires x > 0, got {x}")
-    integral = bessel_integral(IntegralSpec(nu, nu, -beta, x), tol).value
+    integral = bessel_integral(IntegralSpec(nu, nu, -beta, x)).value
     pre = ScaledValue.from_log(-beta * x + (1.0 - nu) * math.log(x))
     return pre * kernel.besselk(nu + n, x) * integral
 

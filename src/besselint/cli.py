@@ -46,11 +46,19 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """A float that is not inf or nan: the type of each numeric flag and list entry."""
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}")
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    values = [_finite(part) for part in text.split(",") if part != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"no number in {text!r}")
     return values
@@ -86,10 +94,7 @@ def _x_logspace(text: str) -> list[float]:
 
 
 def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    tol = _finite(text)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise argparse.ArgumentTypeError(
             f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
@@ -106,10 +111,10 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_point(p):
         p.add_argument("--bound", type=_bound_id, required=True)
-        p.add_argument("--nu", type=float, required=True)
-        p.add_argument("--n", type=float, default=0.0)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=0.0)
+        p.add_argument("--nu", type=_finite, required=True)
+        p.add_argument("--n", type=_finite, default=0.0)
+        p.add_argument("--mu", type=_finite, default=None)
+        p.add_argument("--gamma", type=_finite, default=0.0)
 
     def add_x_grid(p):
         xs = p.add_mutually_exclusive_group()
@@ -117,31 +122,31 @@ def _parser() -> argparse.ArgumentParser:
         xs.add_argument("--x-logspace", type=_x_logspace, default=None,
                         metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
 
-    def add_common(p, handler, default_format="json"):
+    def add_common(p, handler, default_format="json", tol=False):
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        p.add_argument("--tol", type=_tolerance, default=1e-10,
-                       help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
+        if tol:  # eval's exit code and the check/sweep verdict band read it
+            p.add_argument("--tol", type=_tolerance, default=1e-10,
+                           help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
 
     p = sub.add_parser("eval", help="value of the integral with an error bound")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--ord", type=float, required=True, dest="ord_")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    add_common(p, _eval)
+    p.add_argument("--mu", type=_finite, required=True)
+    p.add_argument("--ord", type=_finite, required=True, dest="ord_")
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--x", type=_finite, required=True)
+    add_common(p, _eval, tol=True)
 
     p = sub.add_parser("bound", help="closed-form bound value at a point")
     add_point(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--series-tol", type=float, default=1e-12)
+    p.add_argument("--x", type=_finite, required=True)
     add_common(p, _bound)
 
     p = sub.add_parser("check", help="verdict for one bound at one point")
     add_point(p)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--exploratory", action="store_true",
                    help="skip the hypothesis check and probe anyway")
-    add_common(p, _check)
+    add_common(p, _check, tol=True)
 
     p = sub.add_parser("sweep", help="certification sweep over a parameter grid")
     p.add_argument("--bounds", type=_bound_list, default="all",
@@ -151,7 +156,7 @@ def _parser() -> argparse.ArgumentParser:
     add_x_grid(p)
     p.add_argument("--n", type=_float_list, default=None)
     p.add_argument("--mu", type=_float_list, default=None)
-    add_common(p, _sweep)
+    add_common(p, _sweep, tol=True)
 
     p = sub.add_parser("table", help="relative-error table of the two-sided enclosure")
     p.add_argument("--bound", type=_bound_id, required=True)
@@ -165,10 +170,10 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p, _tightness)
 
     p = sub.add_parser("crossover", help="abscissa where the PROP1 comparison flips")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--x-max", type=float, default=500.0)
+    p.add_argument("--mu", type=_finite, required=True)
+    p.add_argument("--nu", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, default=0.0)
+    p.add_argument("--x-max", type=_finite, default=500.0)
     add_common(p, _crossover)
 
     return parser
@@ -265,10 +270,10 @@ def _eval(args):
 
 def _bound(args):
     ev = bound_value(args.bound, nu=args.nu, n=args.n, mu=args.mu,
-                     gamma=args.gamma, x=args.x, series_tol=args.series_tol)
+                     gamma=args.gamma, x=args.x)
     return (
         {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
-         "gamma": args.gamma, "x": args.x, "series_tol": args.series_tol},
+         "gamma": args.gamma, "x": args.x},
         lambda: {"results": [{"value": ev.value.to_dict(), "direction": ev.direction.value,
                               "truncation_terms": ev.truncation_terms,
                               "tail_bound": ev.tail_bound.to_dict()}],
@@ -317,9 +322,9 @@ def _sweep(args):
 
 
 def _table(args):
-    table = relative_error_table(args.bound, args.nu, args.x, tol=args.tol)
+    table = relative_error_table(args.bound, args.nu, args.x)
     return (
-        {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x), "tol": args.tol},
+        {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x)},
         lambda: {"results": [list(row) for row in table.entries],
                  "summary": {"nu_values": list(args.nu), "x_values": list(args.x)}},
         ["nu"] + [_fmt(x) for x in table.x_values],
@@ -334,10 +339,10 @@ def _tightness(args):
     if not xs:
         raise InvalidDomain("one of --x or --x-logspace is required")
     template = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=xs[0])
-    ratios = tightness_scan(args.bound, template, xs, tol=args.tol)
+    ratios = tightness_scan(args.bound, template, xs)
     return (
         {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
-         "gamma": args.gamma, "x": xs, "tol": args.tol},
+         "gamma": args.gamma, "x": xs},
         lambda: {"results": [{"x": x, "ratio": r} for x, r in zip(xs, ratios)],
                  "summary": {"final_ratio": ratios[-1]}},
         ["x", "ratio"],
@@ -347,10 +352,9 @@ def _tightness(args):
 
 
 def _crossover(args):
-    xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max, tol=args.tol)
+    xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max)
     return (
-        {"mu": args.mu, "nu": args.nu, "gamma": args.gamma, "x_max": args.x_max,
-         "tol": args.tol},
+        {"mu": args.mu, "nu": args.nu, "gamma": args.gamma, "x_max": args.x_max},
         lambda: {"results": [{"crossover": xstar}], "summary": {"found": xstar is not None}},
         ["crossover"],
         (["" if x is None else _fmt(x)] for x in [xstar]),

@@ -47,9 +47,12 @@ __all__ = [
     "ACCURACY_LARGE_X",
 ]
 
-#: advertised relative accuracy of besseli/besselk for x <= 50
+#: advertised relative accuracy of besseli/besselk for x <= 50 and order in
+#: (-1, 60), the orders the catalog reaches (worst measured 1.1e-13); far
+#: larger orders lose more, e.g. 9.8e-12 at besseli(4750.77, 1.1208), whose
+#: log magnitude of -38 226 alone costs 4e-12 in a double
 ACCURACY_SMALL_X = 1e-12
-#: advertised relative accuracy for x <= 1000
+#: advertised relative accuracy for x <= 1000, over the same orders
 ACCURACY_LARGE_X = 1e-10
 
 _SERIES_SWITCH = 18.5

@@ -270,14 +270,13 @@ class IdentityId(Enum):
     WRONSKIAN = "wronskian"  # x (I_nu K_{nu+1} + I_{nu+1} K_nu) = 1
 
 
-def identity_residual(id: IdentityId, nu: float, n: float, gamma: float, x: float,
-                      tol: float = 1e-12) -> float:
+def identity_residual(id: IdentityId, nu: float, n: float, gamma: float, x: float) -> float:
     """Relative residual |LHS - RHS| / max(|LHS|, |RHS|) of an exact identity."""
     if x <= 0:
         raise InvalidDomain(f"identities need x > 0, got {x}")
 
     def F(mu_, ord_, gamma_):
-        return bessel_integral(IntegralSpec(mu_, ord_, gamma_, x), tol).value
+        return bessel_integral(IntegralSpec(mu_, ord_, gamma_, x)).value
 
     if id is IdentityId.JJ25:
         if not nu > -1.0:

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 from .bounds import (
     CATALOG,
-    DEFAULT_SERIES_TOL,
     BoundEval,
     BoundId,
     Direction,
@@ -31,7 +30,6 @@ from .bounds import (
     bound_value,
 )
 from .errors import BesselIntError, InvalidDomain, NotFound
-from . import kernel
 from .oracle import (
     TOL_MIN,
     IntegralSpec,
@@ -241,8 +239,7 @@ def default_grid() -> Grid:
     )
 
 
-def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
-          series_tol: float = DEFAULT_SERIES_TOL) -> SweepResult:
+def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
     """Check every bound at every valid grid point.
 
     Out-of-domain points are skipped and recorded with the violated
@@ -251,7 +248,8 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
     a point that needs more series terms than the oracle allows): every
     check on that row is INCONCLUSIVE with the row's error, and the rest of
     the sweep goes on.
-    Output ordering is canonical regardless of the order of ``ids``.
+    Output is in canonical order as built, whatever the order of ``ids`` or of
+    the axes: bounds by id value, then the product of the sorted axes.
     """
     oracle_tol = _oracle_tol(tol)
     tasks: list[tuple[BoundId, Point]] = []
@@ -295,17 +293,12 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10,
         else:
             try:
                 ev = bound_value(bid, nu=point.nu, n=point.n, mu=point.mu,
-                                 gamma=point.gamma, x=point.x,
-                                 series_tol=series_tol, check_domain=False)
+                                 gamma=point.gamma, x=point.x, check_domain=False)
                 report = _report_from_values(ev, oracle, tol)
             except BesselIntError as exc:
                 report = _failed_report(bid, point, exc)
         reports.append(report)
         counts[report.verdict.value] += 1
-
-    order = {bid: i for i, bid in enumerate(sorted(CATALOG, key=lambda b: b.value))}
-    reports.sort(key=lambda r: (order[r.bound], r.point.sort_key()))
-    skipped.sort(key=lambda s: (order[s.bound], s.point.sort_key()))
     return SweepResult(reports=reports, skipped=skipped, counts=counts)
 
 
@@ -335,14 +328,14 @@ def _round4(v: float) -> float:
 
 
 def relative_error_table(bound: BoundId, nu_values: Sequence[float],
-                         x_values: Sequence[float], tol: float = 1e-11) -> RelErrTable:
+                         x_values: Sequence[float]) -> RelErrTable:
     """Relative errors |bound/F - 1| of the two-sided enclosure at gamma = 0, n = 0,
     rounded half-up to 4 places; each row (one nu) is a :func:`tightness_scan`."""
     if bound not in (BoundId.TWOSIDED_L, BoundId.TWOSIDED_U):
         raise InvalidDomain("tables are defined for twosided_l / twosided_u")
     rows = []
     for nu in nu_values:
-        ratios = tightness_scan(bound, Point(nu=nu), x_values, tol)
+        ratios = tightness_scan(bound, Point(nu=nu), x_values)
         rows.append(tuple(_round4(abs(r - 1.0)) for r in ratios))
     return RelErrTable(bound=bound, nu_values=tuple(nu_values),
                        x_values=tuple(x_values), entries=tuple(rows))
@@ -352,8 +345,7 @@ def relative_error_table(bound: BoundId, nu_values: Sequence[float],
 # tightness scans and the PROP1 crossover
 # ----------------------------------------------------------------------
 
-def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float],
-                   tol: float = 1e-10) -> list[float]:
+def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float]) -> list[float]:
     """Bound/oracle ratios along an x-sequence at otherwise fixed parameters.
 
     The caller asserts the monotone approach to 1 in the claimed limit.
@@ -363,20 +355,19 @@ def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float],
                          gamma=template.gamma, x=x) for x in x_sequence]
     xs = sorted(set(x_sequence))
     spec = CATALOG[id].integrand(template)  # every point shares it up to x
-    oracle_vals = dict(zip(xs, cumulative_bessel_integral(
-        spec.mu, spec.ord, spec.gamma, xs, _oracle_tol(tol))))
+    oracle_vals = dict(zip(xs, cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, xs)))
     return [(ev.value / oracle_vals[ev.point.x].value).to_float() for ev in evals]
 
 
-def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0,
-                   tol: float = 1e-11) -> Optional[float]:
+def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> Optional[float]:
     """Abscissa where ``F - e^(-gamma x) x^mu I_nu(x)/(1-gamma)`` changes sign.
 
     For ``mu >= nu >= 1/2`` the difference stays negative for every x and
     the function returns None.  For ``mu < 1/2`` a sign change exists for
     large enough x; if none is found below ``x_max``, :class:`NotFound`
     reports the range searched.  Bisection refines the bracket to relative
-    width 1e-6.  As in :func:`check_point`, the oracle runs at ``tol/10``.
+    width 1e-6.  The comparison term is the PROP1 bound, evaluated outside
+    its hypotheses where needed.
     """
     if not mu + nu > -1.0:
         raise InvalidDomain(f"needs mu + nu > -1, got {mu + nu}")
@@ -388,9 +379,9 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0,
         return None
 
     def defect_sign(x: float) -> int:
-        f = bessel_integral(IntegralSpec(mu, nu, gamma, x), _oracle_tol(tol)).value
-        comp = (ScaledValue.from_log(-gamma * x + mu * math.log(x))
-                * kernel.besseli(nu, x) / (1.0 - gamma))
+        f = bessel_integral(IntegralSpec(mu, nu, gamma, x)).value
+        comp = bound_value(BoundId.PROP1, nu=nu, mu=mu, gamma=gamma, x=x,
+                           check_domain=False).value
         return (f - comp).sign
 
     lo = min(0.1, x_max / 10.0)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import pytest
 
@@ -232,14 +234,19 @@ class TestSeriesBounds:
         assert total == besseli(1.5, 5.0)
 
     def test_partial_sums_nondecreasing_and_always_lower(self):
-        f = oracle(BoundId.LOWER3, nu=0.5, gamma=0.7, x=5.0)
+        nu, gamma, x = 0.5, 0.7, 5.0
+        f = oracle(BoundId.LOWER3, nu=nu, gamma=gamma, x=x)
+        pre = ScaledValue.from_log(-gamma * x + nu * math.log(x))  # LOWER3's e^-gx x^nu
         prev = None
         for k in (1, 2, 4, 8, 20, 60):
-            ev = bound_value(BoundId.LOWER3, nu=0.5, gamma=0.7, x=5.0, max_terms=k)
-            assert ev.value < f  # valid lower bound at every truncation
+            value = pre * geometric_tail_series(nu, gamma, x, max_terms=k)[0]
+            assert value < f  # valid lower bound at every truncation
             if prev is not None:
-                assert prev <= ev.value
-            prev = ev.value
+                assert prev <= value
+            prev = value
+        # the catalog bound is the same product at the certified stop
+        assert pre * geometric_tail_series(nu, gamma, x)[0] == bound_value(
+            BoundId.LOWER3, nu=nu, gamma=gamma, x=x).value
 
     def test_tail_certificate_brackets_true_tail(self):
         # (nu, gamma, x, max_terms): both ends of the grid's x range at
@@ -285,9 +292,13 @@ class TestSeriesBounds:
                 assert all(b < a for a, b in zip(ratios, ratios[1:])), (nu, x)
 
     def test_tail_below_series_tol(self):
-        for gamma in (0.3, 0.9):
-            total, terms, tail = geometric_tail_series(1.0, gamma, 8.0, 1e-12)
+        # the series stops at the first K whose certified tail is at most
+        # 1e-12 of the sum
+        for nu, gamma, x in ((1.0, 0.3, 8.0), (1.0, 0.9, 8.0), (0.0, 0.99, 200.0)):
+            total, terms, tail = geometric_tail_series(nu, gamma, x)
             assert (tail / total).to_float() <= 1e-12
+            total, _, tail = geometric_tail_series(nu, gamma, x, max_terms=terms - 1)
+            assert (tail / total).to_float() > 1e-12
 
     def test_lower1_prefactor_power(self):
         # LOWER1 carries x^(nu+1), LOWER3 carries x^nu

@@ -106,6 +106,35 @@ class TestUsageErrors:
         code, _, _ = invoke(["eval", "--mu", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "sweep --bounds main --nu 0 --gamma 0 --x inf",
+        "eval --mu 0 --ord 0 --gamma 0 --x nan",
+        "check --bound main --nu inf --x 1",
+        "check --bound new1 --nu 1 --n inf --x 1",
+        "tightness --bound main --nu 0 --x 1,inf",
+        "crossover --mu 0.6 --nu 0.3 --x-max inf",
+    ])
+    def test_non_finite_value(self, argv):
+        code, out, err = invoke(argv.split())
+        assert code == 2  # a usage error, not a verdict or a numerical failure
+        assert out == ""
+        assert "Traceback" not in err
+        assert "needs a finite number" in err
+
+    @pytest.mark.parametrize("argv", [
+        "bound --bound lower3 --nu 1 --gamma 0.5 --x 2 --series-tol 1e-6",
+        "bound --bound main --nu 1 --x 2 --tol 1e-10",
+        "table --bound twosided_l --nu 0 --x 1 --tol 1e-10",
+        "tightness --bound main --nu 0 --x 1,2 --tol 1e-10",
+        "crossover --mu 0 --nu 0 --tol 1e-10",
+    ])
+    def test_tolerance_only_on_verbs_it_changes(self, argv):
+        # only eval, check and sweep read a tolerance; elsewhere it is unknown
+        code, out, err = invoke(argv.split())
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--bounds", "nope"),
         ("--bounds", ","),

@@ -73,11 +73,18 @@ class TestSweep:
                 assert r.direction is Direction.EQUALITY
 
     def test_deterministic_output(self):
-        g = Grid(nu_values=(0.0, 2.5), gamma_values=(0.0, 0.9),
-                 x_values=(1.0, 10.0))
-        a = sweep([BoundId.MAIN, BoundId.LOWER3, BoundId.NEED2], g)
-        b = sweep([BoundId.NEED2, BoundId.LOWER3, BoundId.MAIN], g)
-        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        # the same grid with its bounds, and then every axis, in reverse order;
+        # NEW1 and PROP1 bring the n and mu axes and some skipped points
+        g = Grid(nu_values=(0.0, 2.5), gamma_values=(0.0, 0.9), x_values=(1.0, 10.0),
+                 n_values=(0.0, 1.0), mu_values=(0.5, 2.5))
+        reverse = Grid(*(tuple(reversed(axis)) for axis in (
+            g.nu_values, g.gamma_values, g.x_values, g.n_values, g.mu_values)))
+        ids = [BoundId.MAIN, BoundId.LOWER3, BoundId.NEED2, BoundId.NEW1, BoundId.PROP1]
+        a = sweep(ids, g)
+        assert a.skipped
+        expected = json.dumps(a.to_dict())
+        assert json.dumps(sweep(ids[::-1], g).to_dict()) == expected
+        assert json.dumps(sweep(ids, reverse).to_dict()) == expected
 
     def test_far_row_holds(self):
         # one oracle row out to x = 20000, where the integral passes e^19990
