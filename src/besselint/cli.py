@@ -24,7 +24,7 @@ from typing import Optional
 
 from .bounds import BoundId, Point, bound_value
 from .errors import BesselIntError, InvalidDomain
-from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral
+from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral, check_tol
 from .scaled import ScaledValue
 from .verifier import (
     Grid,
@@ -95,9 +95,10 @@ def _x_logspace(text: str) -> list[float]:
 
 def _tolerance(text: str) -> float:
     tol = _finite(text)
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise argparse.ArgumentTypeError(
-            f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
+    try:
+        check_tol(tol)
+    except InvalidDomain as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tol
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "identity_residual",
     "TOL_MIN",
     "TOL_MAX",
+    "check_tol",
 ]
 
 TOL_MIN = 1e-13
@@ -111,7 +112,8 @@ class QuadResult:
         return (self.abs_err / abs(self.value)).to_float()
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Raise :class:`InvalidDomain` unless ``TOL_MIN <= tol <= TOL_MAX``."""
     if not TOL_MIN <= tol <= TOL_MAX:
         raise InvalidDomain(f"tolerance must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
 
@@ -180,7 +182,7 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
         n *= 2
     s, a, tail, shift, terms = summed
 
-    lg = math.lgamma(order + 1.0)
+    lg = kernel.log_gamma(order + 1.0)
     parts = (-order * _LN2, -lg, p0 * math.log(x), -z, log_s0, shift * _LN2)
     log_t0 = math.fsum(parts)
     # a-priori rounding bound in units of u * sum |T_k|: 10 roundings per
@@ -204,24 +206,23 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
 
 def cumulative_bessel_integral(mu: float, ord: float, gamma: float,
                                xs: list[float], tol: float = 1e-10) -> list[QuadResult]:
-    """Evaluate the integral at every upper limit in ascending ``xs``.
+    """Evaluate the integral at every upper limit in ``xs``, in any order.
 
-    Each limit is its own series; a row of limits shares only validation.
+    Each limit is its own series and the limits share only validation; a
+    limit whose series fails raises for the whole call.
     """
-    _check_tol(tol)
+    check_tol(tol)
     if not xs:
         return []
     if any(x <= 0 for x in xs):
         raise InvalidDomain("cumulative evaluation needs strictly positive limits")
-    if any(b < a for a, b in zip(xs, xs[1:])):
-        raise InvalidDomain("upper limits must be ascending")
     IntegralSpec(mu, ord, gamma, xs[0]).validate()
     return [_series(mu, ord, gamma, x, tol) for x in xs]
 
 
 def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
     """The integral of ``e^(-gamma t) t^mu I_ord(t)`` over ``[0, spec.x]``."""
-    _check_tol(tol)
+    check_tol(tol)
     spec.validate()
     if spec.x == 0.0:
         return QuadResult(ScaledValue.zero(), ScaledValue.zero(), 0, True)

@@ -8,9 +8,9 @@ strict inequality can never be certified numerically at an equality
 point, so points whose margin falls inside the band are neither passes
 nor failures.
 
-Sweeps evaluate each integral once: points are grouped by integrand
-``(mu, ord, gamma)`` into rows along ascending x, and checks that share
-an integral share its oracle result.
+Sweeps evaluate each integral once, keyed by its :class:`IntegralSpec`:
+checks that share an integral share its oracle result, and an integral
+whose series fails turns only the checks that need it INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .oracle import (
     IntegralSpec,
     QuadResult,
     bessel_integral,
+    check_tol,
     cumulative_bessel_integral,
 )
 from .scaled import ScaledValue
@@ -201,6 +202,7 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     probed outside its validity domain (e.g. PROP1 with mu < 1/2, which is
     expected to flip at large x).
     """
+    check_tol(tol)
     ev = bound_value(id, nu=point.nu, n=point.n, mu=point.mu,
                      gamma=point.gamma, x=point.x, check_domain=not exploratory)
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
@@ -239,18 +241,26 @@ def default_grid() -> Grid:
     )
 
 
+def _integral_or_error(spec: IntegralSpec, tol: float) -> QuadResult | BesselIntError:
+    try:
+        return bessel_integral(spec, tol)
+    except BesselIntError as exc:
+        return exc
+
+
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
     """Check every bound at every valid grid point.
 
     Out-of-domain points are skipped and recorded with the violated
     hypothesis; evaluation errors become INCONCLUSIVE reports with the
-    failure reason.  That includes an oracle row that fails (for example
-    a point that needs more series terms than the oracle allows): every
-    check on that row is INCONCLUSIVE with the row's error, and the rest of
-    the sweep goes on.
+    failure reason.  That includes an integral the oracle cannot sum (for
+    example one that needs more series terms than the oracle allows): the
+    checks that need it are INCONCLUSIVE with its error, and every other
+    check, on the same ``(mu, ord, gamma)`` row too, goes on as usual.
     Output is in canonical order as built, whatever the order of ``ids`` or of
     the axes: bounds by id value, then the product of the sorted axes.
     """
+    check_tol(tol)
     oracle_tol = _oracle_tol(tol)
     tasks: list[tuple[BoundId, Point]] = []
     skipped: list[SkippedPoint] = []
@@ -266,28 +276,26 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
             else:
                 tasks.append((bid, point))
 
-    # group oracle work by integrand; each group is one row
-    rows: dict[tuple[float, float, float], set[float]] = {}
+    # one oracle call per (mu, ord, gamma) row, where the benchmark tracer
+    # counts rows; a failed row falls back to its points one by one, so that
+    # an error stands in only for the integral that raised it
+    rows: dict[tuple[float, float, float], dict[IntegralSpec, None]] = {}
     for bid, point in tasks:
         spec = CATALOG[bid].integrand(point)
-        rows.setdefault((spec.mu, spec.ord, spec.gamma), set()).add(spec.x)
-
-    oracle_cache: dict[tuple[float, float, float, float], QuadResult | BesselIntError] = {}
-    for (mu, ordv, gamma), xset in sorted(rows.items()):
-        xs = sorted(xset)
+        rows.setdefault((spec.mu, spec.ord, spec.gamma), {})[spec] = None
+    oracle_results: dict[IntegralSpec, QuadResult | BesselIntError] = {}
+    for (mu, ordv, gamma), specs in rows.items():
         try:
-            results = cumulative_bessel_integral(mu, ordv, gamma, xs, oracle_tol)
-        except BesselIntError as exc:
-            # a failed row stores its error in place of each result, so that
-            # only the checks that need that row turn INCONCLUSIVE
-            results = [exc] * len(xs)
-        oracle_cache.update(((mu, ordv, gamma, x), qr) for x, qr in zip(xs, results))
+            results = cumulative_bessel_integral(mu, ordv, gamma, [s.x for s in specs],
+                                                 oracle_tol)
+        except BesselIntError:
+            results = [_integral_or_error(s, oracle_tol) for s in specs]
+        oracle_results.update(zip(specs, results))
 
     reports: list[CheckReport] = []
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}
     for bid, point in tasks:
-        spec = CATALOG[bid].integrand(point)
-        oracle = oracle_cache[(spec.mu, spec.ord, spec.gamma, spec.x)]
+        oracle = oracle_results[CATALOG[bid].integrand(point)]
         if isinstance(oracle, BesselIntError):
             report = _failed_report(bid, point, oracle)
         else:
@@ -312,14 +320,6 @@ class RelErrTable:
     nu_values: tuple[float, ...]
     x_values: tuple[float, ...]
     entries: tuple[tuple[float, ...], ...]  # rows by nu, columns by x
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound.value,
-            "nu_values": list(self.nu_values),
-            "x_values": list(self.x_values),
-            "entries": [list(row) for row in self.entries],
-        }
 
 
 def _round4(v: float) -> float:
@@ -353,10 +353,9 @@ def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float]) ->
     # bound_value checks every point's hypotheses before any oracle work
     evals = [bound_value(id, nu=template.nu, n=template.n, mu=template.mu,
                          gamma=template.gamma, x=x) for x in x_sequence]
-    xs = sorted(set(x_sequence))
     spec = CATALOG[id].integrand(template)  # every point shares it up to x
-    oracle_vals = dict(zip(xs, cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, xs)))
-    return [(ev.value / oracle_vals[ev.point.x].value).to_float() for ev in evals]
+    oracle = cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, list(x_sequence))
+    return [(ev.value / qr.value).to_float() for ev, qr in zip(evals, oracle)]
 
 
 def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> Optional[float]:
@@ -384,27 +383,21 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
                            check_domain=False).value
         return (f - comp).sign
 
-    lo = min(0.1, x_max / 10.0)
-    s_lo = defect_sign(lo)
-    hi = lo
-    bracket = None
-    while hi < x_max:
-        hi = min(hi * 1.6, x_max)
-        s_hi = defect_sign(hi)
-        if s_hi != s_lo and s_hi != 0:
-            bracket = (lo, hi)
+    a = min(0.1, x_max / 10.0)
+    s_a = defect_sign(a)
+    b = a
+    while b < x_max:
+        b = min(b * 1.6, x_max)
+        s_b = defect_sign(b)
+        if s_b != s_a and s_b != 0:
             break
-        lo, s_lo = hi, s_hi
-        if hi >= x_max:
-            break
-    if bracket is None:
+        a, s_a = b, s_b
+    else:  # the scan reached x_max without a sign change
         if mu < 0.5:
             raise NotFound(
                 f"no sign change of the mu={mu}, nu={nu}, gamma={gamma} defect "
                 f"below x_max={x_max}")
         return None
-    a, b = bracket
-    s_a = defect_sign(a)
     for _ in range(200):
         mid = 0.5 * (a + b)
         if (b - a) <= 1e-6 * mid:

@@ -95,9 +95,10 @@ class TestUsageErrors:
         assert code == 2
 
     def test_tolerance_out_of_range(self):
-        code, _, _ = invoke(["eval", "--mu", "0", "--ord", "0", "--gamma", "0",
-                             "--x", "1", "--tol", "1e-20"])
+        code, _, err = invoke(["eval", "--mu", "0", "--ord", "0", "--gamma", "0",
+                               "--x", "1", "--tol", "1e-20"])
         assert code == 2
+        assert "tolerance must lie in [1e-13, 1e-06], got 1e-20" in err
         code, _, _ = invoke(["eval", "--mu", "0", "--ord", "0", "--gamma", "0",
                              "--x", "1", "--tol", "0.1"])
         assert code == 2
@@ -318,6 +319,36 @@ class TestJsonCsvAgree:
         [header, [cell]] = rows
         assert header == ["crossover"]
         assert (cell == "") if xstar is None else (float(cell) == xstar)
+
+
+class TestHugeFiniteInputs:
+    """Finite values far past the supported range end in one error line."""
+
+    def test_huge_x_bound_is_numerical_failure(self):
+        code, out, err = invoke("bound --bound main --nu 0 --x 1e308".split())
+        assert code == 3
+        assert out == ""
+        assert err == ("besselint bound: NonConvergence: I ratio continued fraction "
+                       "stalled at nu=0.0, x=1e+308\n")
+
+    def test_huge_x_tightness_ends_quickly(self):
+        # the I ratio's iteration cap does not grow with x
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "besselint", "tightness", "--bound", "main",
+             "--nu", "0", "--x", "1e300"],
+            capture_output=True, text=True, env=env, timeout=5)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("besselint tightness: NonConvergence:")
+
+    def test_huge_order_check_is_one_error_line(self):
+        code, out, err = invoke("check --bound main --nu 1e308 --x 1".split())
+        assert code in (2, 3)
+        assert out == ""
+        assert err.startswith("besselint check: ") and err.count("\n") == 1
 
 
 class TestModuleEntryPoint:

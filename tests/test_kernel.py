@@ -2,9 +2,9 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from besselint.errors import InvalidDomain, InvalidOrder
+from besselint.errors import InvalidDomain, InvalidOrder, NonConvergence
 from besselint.kernel import (
     ACCURACY_LARGE_X, ACCURACY_SMALL_X, asym_large, asym_small, besseli, besseli_ratio,
     besselk,
@@ -57,6 +57,10 @@ class TestBesselI:
             besseli(-1.0, 2.0)
         with pytest.raises(InvalidOrder):
             besseli(-7.0, 0.5)
+
+    def test_order_past_log_gamma_range_is_invalid(self):
+        with pytest.raises(InvalidOrder, match="overflows"):
+            besseli(1e308, 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidDomain):
@@ -116,6 +120,19 @@ class TestBesselK:
                     (mp.mpf(mine.sign) * mp.e ** mp.mpf(mine.log_abs) - true) / true))
                 assert err < 1e-10, (nu, x, err)
 
+    # besselk is even in the order, so the range reaches what besseli's
+    # reflection asks of it.  The example has log(K e^x) near 511, where the
+    # converged trapezoid sums of successive steps still differ by one ulp,
+    # which is above the stop tolerance
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(order=st.floats(-1.0, 60.0, exclude_min=True),
+           x=st.floats(math.log(1e-3), math.log(1000.0)).map(math.exp))
+    @example(order=56.01, x=0.004342)
+    def test_advertised_accuracy_against_mpmath(self, order, x):
+        mine = besselk(order, x)
+        err = abs(mp.mpf(mine.sign) * mp.exp(mine.log_abs) / mp.besselk(order, x) - 1)
+        assert err < (ACCURACY_SMALL_X if x <= 50.0 else ACCURACY_LARGE_X)
+
 
 class TestRatio:
     def test_reference_value(self):
@@ -142,6 +159,18 @@ class TestRatio:
             xs = [0.1 * 1.9 ** k for k in range(10)]
             vals = [besseli_ratio(nu, x) for x in xs]
             assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("nu", [1e290, 1e299, 1e300])
+    def test_huge_order(self, nu):
+        # ratio = x/(2(nu+1)) (1 - x^2/(4(nu+1)(nu+2)) + ...), where the
+        # correction is far below one rounding unit
+        assert besseli_ratio(nu, 1.0) == pytest.approx(0.5 / nu, rel=4e-16, abs=0.0)
+
+    def test_iteration_cap_does_not_grow_with_x(self):
+        # about 19 000 steps; I_1/I_0 = 1 - 1/(2x) - 1/(8x^2) - ...
+        assert besseli_ratio(0.0, 1e7) == pytest.approx(1.0 - 0.5e-7, rel=1e-12, abs=0.0)
+        with pytest.raises(NonConvergence):
+            besseli_ratio(0.0, 1e300)
 
     def test_domain(self):
         with pytest.raises(InvalidDomain):

@@ -7,10 +7,13 @@ import pytest
 
 from besselint.errors import InvalidDomain, NonConvergence
 from besselint.oracle import (
+    TOL_MAX,
+    TOL_MIN,
     IdentityId,
     IntegralSpec,
     antiderivative_gamma1,
     bessel_integral,
+    check_tol,
     cumulative_bessel_integral,
     identity_residual,
     integral_asymptote,
@@ -61,6 +64,13 @@ class TestBesselIntegral:
             res = bessel_integral(IntegralSpec(0.3, 0.8, 0.4, 12.0), tol)
             assert res.converged
             assert res.rel_err() <= tol
+
+    def test_tolerance_range_is_closed(self):
+        check_tol(TOL_MIN)
+        check_tol(TOL_MAX)
+        for tol in (TOL_MIN * 0.99, TOL_MAX * 1.01):
+            with pytest.raises(InvalidDomain, match="tolerance must lie in"):
+                check_tol(tol)
 
     def test_monotone_in_x_and_gamma(self):
         vals = [bessel_integral(IntegralSpec(0.5, 0.5, 0.3, x), 1e-10).value
@@ -151,16 +161,14 @@ def test_abs_err_covers_the_40_digit_error(mu, ordv, gamma, x):
 
 class TestCumulative:
     def test_matches_single_shot(self):
-        xs = [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+        # limits in any order, a repeat included: each result is its own limit's
+        xs = [20.0, 0.5, 5.0, 1.0, 50.0, 2.0, 10.0, 0.5]
         cum = cumulative_bessel_integral(0.5, 0.5, 0.3, xs, 1e-11)
+        assert len(cum) == len(xs)
         for x, qr in zip(xs, cum):
             single = bessel_integral(IntegralSpec(0.5, 0.5, 0.3, x), 1e-11)
             assert qr.converged
-            assert qr.value.rel_gap(single.value) < 1e-10
-
-    def test_rejects_descending(self):
-        with pytest.raises(InvalidDomain):
-            cumulative_bessel_integral(0.0, 0.0, 0.0, [2.0, 1.0], 1e-10)
+            assert qr == single
 
 
 class TestAntiderivative:

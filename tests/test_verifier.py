@@ -3,7 +3,7 @@ import json
 import pytest
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point
-from besselint import verifier
+from besselint import oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.verifier import (
     CheckReport,
@@ -40,6 +40,11 @@ class TestCheckPoint:
         with pytest.raises(InvalidDomain, match="mu >= nu >= 1/2"):
             check_point(BoundId.PROP1, Point(nu=0.0, mu=0.0, gamma=0.0, x=100.0))
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-5])
+    def test_tolerance_out_of_range_raises(self, tol):
+        with pytest.raises(InvalidDomain, match=r"tolerance must lie in \[1e-13, 1e-06\]"):
+            check_point(BoundId.MAIN, Point(nu=0.0, gamma=0.3, x=2.0), tol=tol)
+
     def test_report_round_trips_through_json(self):
         r = check_point(BoundId.MAIN, Point(nu=0.0, gamma=0.3, x=2.0))
         encoded = json.dumps(r.to_dict())
@@ -48,6 +53,11 @@ class TestCheckPoint:
 
 
 class TestSweep:
+    def test_tolerance_out_of_range_raises(self):
+        g = Grid(nu_values=(0.0,), gamma_values=(0.0,), x_values=(1.0,))
+        with pytest.raises(InvalidDomain, match=r"tolerance must lie in .* got 1\.0$"):
+            sweep([BoundId.MAIN], g, tol=1.0)
+
     def test_empty_grid(self):
         g = Grid(nu_values=(), gamma_values=(), x_values=())
         res = sweep([BoundId.MAIN], g)
@@ -93,33 +103,47 @@ class TestSweep:
         assert res.counts == {"holds": 40, "violated": 0, "inconclusive": 0}
         assert all(r.reason is None for r in res.reports)
 
+    def test_far_point_fails_alone(self):
+        # x = 2e5 needs more series terms than the oracle allows; x = 1, on
+        # the same (mu, ord, gamma) row, is checked as usual
+        res = sweep([BoundId.MAIN], Grid((0.0,), (0.0,), (1.0, 2e5)))
+        near, far = res.reports
+        assert (near.point.x, near.verdict, near.reason) == (1.0, Verdict.HOLDS, None)
+        assert (far.point.x, far.verdict) == (2e5, Verdict.INCONCLUSIVE)
+        assert far.reason == ("NonConvergence: F(mu=0.0, ord=0.0, gamma=0.0, x=200000.0) "
+                              "needs more than 100000 series terms")
+        assert res.counts == {"holds": 1, "violated": 0, "inconclusive": 1}
+
     def test_failed_oracle_row_is_inconclusive(self, monkeypatch):
         g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
                  x_values=(1.0, 20.0))
         ids = [BoundId.MAIN, BoundId.LOWER1, BoundId.LOWER3]
         clean = sweep(ids, g)
-        bad_row = (1.0, 1.0, 0.5)  # F(1, 1) at gamma = 0.5: MAIN and LOWER3 use it
-        real = verifier.cumulative_bessel_integral
+        # F(1, 1) at gamma = 0.5 and x = 20, used by MAIN and LOWER3; its row
+        # neighbour at x = 1 serves the same two bounds
+        bad = (1.0, 1.0, 0.5, 20.0)
+        real = oracle._series
 
-        def failing(mu, ordv, gamma, xs, tol):
-            if (mu, ordv, gamma) == bad_row:
+        def failing(mu, ordv, gamma, x, tol):
+            if (mu, ordv, gamma, x) == bad:
                 raise NonConvergence("F needs more than 100000 series terms")
-            return real(mu, ordv, gamma, xs, tol)
+            return real(mu, ordv, gamma, x, tol)
 
-        monkeypatch.setattr(verifier, "cumulative_bessel_integral", failing)
+        monkeypatch.setattr(oracle, "_series", failing)
         res = sweep(ids, g)
         assert len(res.reports) == len(clean.reports)
-        on_row = 0
+        failed = neighbours = 0
         for r, c in zip(res.reports, clean.reports):
             assert (r.bound, r.point) == (c.bound, c.point)
             spec = CATALOG[r.bound].integrand(r.point)
-            if (spec.mu, spec.ord, spec.gamma) == bad_row:
-                on_row += 1
+            if (spec.mu, spec.ord, spec.gamma, spec.x) == bad:
+                failed += 1
                 assert r.verdict is Verdict.INCONCLUSIVE
                 assert r.reason.startswith("NonConvergence: F needs more")
             else:
+                neighbours += (spec.mu, spec.ord, spec.gamma) == bad[:3]
                 assert r == c
-        assert on_row == 4  # MAIN and LOWER3 at x = 1 and x = 20
+        assert (failed, neighbours) == (2, 2)  # MAIN and LOWER3 at x = 20, then x = 1
         assert sum(res.counts.values()) == len(res.reports)
         for verdict in Verdict:
             assert res.counts[verdict.value] == sum(
@@ -157,6 +181,8 @@ class TestTightness:
         assert all(a < b for a, b in zip(r, r[1:]))
         assert all(v < 1.0 for v in r)
         assert abs(r[-1] - 1.0) < 0.05
+        assert tightness_scan(BoundId.LOWER2, Point(nu=1.0, gamma=0.5),
+                              [400.0, 50.0, 200.0, 100.0]) == [r[3], r[0], r[2], r[1]]
 
     def test_lower4_tight_at_zero(self):
         # the gap closes linearly in x when gamma > 0 (like gamma x/(2nu+2))
