@@ -308,7 +308,7 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
 
 
 def _v_new1(p: Point):
-    s = 2.0 * p.nu + p.n + 1.0
+    s = math.fsum((2.0 * p.nu, p.n, 1.0))  # correctly rounded near 2 nu + n = -1
     combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
              - kernel.besseli(p.nu + p.n + 3.0, p.x) * (p.n + 1.0))
     return _no_series(_prefactor(p, p.nu) * combo / (s * (1.0 - p.gamma)))
@@ -323,7 +323,7 @@ def _ok_lower4(p: Point) -> Optional[str]:
 
 
 def _v_lower4(p: Point):
-    s = 2.0 * p.nu + p.n + 1.0
+    s = math.fsum((2.0 * p.nu, p.n, 1.0))  # correctly rounded near 2 nu + n = -1
     s3 = 2.0 * p.nu + p.n + 3.0
     combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
              - kernel.besseli(p.nu + p.n + 3.0, p.x)

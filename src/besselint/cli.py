@@ -5,9 +5,10 @@ Verbs: ``eval``, ``bound``, ``check``, ``sweep``, ``table``, ``tightness``,
 as (sign, log_abs) pairs plus a plain decimal whenever |log_abs| < 700.
 
 Each verb's handler gets arguments already validated by argparse, does the
-work and returns ``(parameters, body, csv_header, csv_rows, exit_code)``;
-``body`` builds the JSON members on call and ``csv_rows`` is lazy, so neither
-format pays for the other.  :func:`run` is the only place that writes output.
+work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
+the JSON members on call, and each CSV row is one of ``records`` flattened,
+under a header taken from the first.  :func:`run` is the only place that
+writes output.
 
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
 VIOLATED, 2 usage error, 3 numerical failure.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -25,8 +27,8 @@ from typing import Optional
 from .bounds import BoundId, Point, bound_value
 from .errors import BesselIntError, InvalidDomain
 from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral, check_tol
-from .scaled import ScaledValue
 from .verifier import (
+    CheckReport,
     Grid,
     Verdict,
     check_point,
@@ -180,37 +182,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+#: CSV column prefix of each nested record member; ``point`` fields keep
+#: their own names, and any other member is its own prefix
+_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_",
+           "abs_err": "err_", "tail_bound": "tail_"}
 
 
-def _sv_csv_fields(v: ScaledValue) -> list[str]:
-    d = v.to_dict()
-    return [str(d["sign"]), _fmt(d["log_abs"]),
-            "" if d["decimal"] is None else _fmt(d["decimal"])]
+def _columns(record: dict) -> list[str]:
+    """CSV header for rows like ``record``: a nested dict spreads over prefixed columns."""
+    return [_PREFIX.get(key, key + "_") + field if type(value) is dict else key
+            for key, value in record.items()
+            for field in (value if type(value) is dict else (key,))]
 
 
-def _report_csv_row(r) -> list[str]:
-    p = r.point
-    return [
-        r.bound.value,
-        _fmt(p.nu), _fmt(p.n), "" if p.mu is None else _fmt(p.mu),
-        _fmt(p.gamma), _fmt(p.x),
-        *_sv_csv_fields(r.bound_value),
-        *_sv_csv_fields(r.oracle_value),
-        *_sv_csv_fields(r.oracle_err),
-        r.verdict.value, _fmt(r.rel_margin), _fmt(r.uncertainty),
-        r.direction.value, r.reason or "",
-    ]
-
-
-_REPORT_HEADER = [
-    "bound", "nu", "n", "mu", "gamma", "x",
-    "bound_sign", "bound_log_abs", "bound_decimal",
-    "oracle_sign", "oracle_log_abs", "oracle_decimal",
-    "oracle_err_sign", "oracle_err_log_abs", "oracle_err_decimal",
-    "verdict", "rel_margin", "uncertainty", "direction", "reason",
-]
+def _csv_row(record: dict) -> list:
+    """Cells of ``record`` in :func:`_columns` order: floats to 17 digits, None empty."""
+    return ["" if v is None else f"{v:.17g}" if type(v) is float else v
+            for value in record.values()
+            for v in (value.values() if type(value) is dict else (value,))]
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -237,7 +226,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        parameters, body, csv_header, csv_rows, code = args.handler(args)
+        parameters, records, body, code = args.handler(args)
     except BesselIntError as exc:
         print(f"besselint {args.verb}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InvalidDomain) else EXIT_NUMERICAL
@@ -247,24 +236,23 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
                   out, indent=2)
         out.write("\n")
     else:
-        writer = csv.writer(out)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        records = iter(records)
+        first = next(records, None)
+        if first is not None:
+            writer = csv.writer(out)
+            writer.writerow(_columns(first))
+            writer.writerows(map(_csv_row, itertools.chain([first], records)))
     return code
 
 
 def _eval(args):
     result = bessel_integral(IntegralSpec(args.mu, args.ord_, args.gamma, args.x), args.tol)
+    records = [{"value": result.value.to_dict(), "abs_err": result.abs_err.to_dict(),
+                "segments": result.segments, "converged": result.converged}]
     return (
         {"mu": args.mu, "ord": args.ord_, "gamma": args.gamma, "x": args.x, "tol": args.tol},
-        lambda: {"results": [{"value": result.value.to_dict(),
-                              "abs_err": result.abs_err.to_dict(),
-                              "segments": result.segments, "converged": result.converged}],
-                 "summary": {"converged": result.converged}},
-        ["value_sign", "value_log_abs", "value_decimal",
-         "err_sign", "err_log_abs", "err_decimal", "segments", "converged"],
-        ([*_sv_csv_fields(r.value), *_sv_csv_fields(r.abs_err), r.segments, r.converged]
-         for r in [result]),
+        records,
+        lambda: {"results": records, "summary": {"converged": result.converged}},
         EXIT_OK if result.converged else EXIT_NUMERICAL,
     )
 
@@ -272,17 +260,14 @@ def _eval(args):
 def _bound(args):
     ev = bound_value(args.bound, nu=args.nu, n=args.n, mu=args.mu,
                      gamma=args.gamma, x=args.x)
+    records = [{"value": ev.value.to_dict(), "direction": ev.direction.value,
+                "truncation_terms": ev.truncation_terms,
+                "tail_bound": ev.tail_bound.to_dict()}]
     return (
         {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
          "gamma": args.gamma, "x": args.x},
-        lambda: {"results": [{"value": ev.value.to_dict(), "direction": ev.direction.value,
-                              "truncation_terms": ev.truncation_terms,
-                              "tail_bound": ev.tail_bound.to_dict()}],
-                 "summary": {"direction": ev.direction.value}},
-        ["value_sign", "value_log_abs", "value_decimal", "direction",
-         "truncation_terms", "tail_sign", "tail_log_abs", "tail_decimal"],
-        ([*_sv_csv_fields(e.value), e.direction.value, e.truncation_terms,
-          *_sv_csv_fields(e.tail_bound)] for e in [ev]),
+        records,
+        lambda: {"results": records, "summary": {"direction": ev.direction.value}},
         EXIT_OK,
     )
 
@@ -290,12 +275,12 @@ def _bound(args):
 def _check(args):
     point = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=args.x)
     report = check_point(args.bound, point, tol=args.tol, exploratory=args.exploratory)
+    records = [report.to_dict()]
     return (
         {"bound": args.bound.value, "nu": point.nu, "n": point.n, "mu": point.mu,
          "gamma": point.gamma, "x": point.x, "tol": args.tol, "exploratory": args.exploratory},
-        lambda: {"results": [report.to_dict()], "summary": {"verdict": report.verdict.value}},
-        _REPORT_HEADER,
-        map(_report_csv_row, [report]),
+        records,
+        lambda: {"results": records, "summary": {"verdict": report.verdict.value}},
         EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK,
     )
 
@@ -315,9 +300,8 @@ def _sweep(args):
          "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
          "x": list(grid.x_values), "n": list(grid.n_values),
          "mu": list(grid.mu_values), "tol": args.tol},
+        map(CheckReport.to_dict, result.reports),
         result.to_dict,
-        _REPORT_HEADER,
-        map(_report_csv_row, result.reports),
         EXIT_VIOLATED if result.counts["violated"] else EXIT_OK,
     )
 
@@ -326,11 +310,10 @@ def _table(args):
     table = relative_error_table(args.bound, args.nu, args.x)
     return (
         {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x)},
+        ({"nu": nu, **{f"{x:.17g}": f"{v:.4f}" for x, v in zip(table.x_values, row)}}
+         for nu, row in zip(table.nu_values, table.entries)),
         lambda: {"results": [list(row) for row in table.entries],
                  "summary": {"nu_values": list(args.nu), "x_values": list(args.x)}},
-        ["nu"] + [_fmt(x) for x in table.x_values],
-        ([_fmt(nu)] + [f"{v:.4f}" for v in row]
-         for nu, row in zip(table.nu_values, table.entries)),
         EXIT_OK,
     )
 
@@ -341,24 +324,23 @@ def _tightness(args):
         raise InvalidDomain("one of --x or --x-logspace is required")
     template = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=xs[0])
     ratios = tightness_scan(args.bound, template, xs)
+    records = [{"x": x, "ratio": r} for x, r in zip(xs, ratios)]
     return (
         {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
          "gamma": args.gamma, "x": xs},
-        lambda: {"results": [{"x": x, "ratio": r} for x, r in zip(xs, ratios)],
-                 "summary": {"final_ratio": ratios[-1]}},
-        ["x", "ratio"],
-        ([_fmt(x), _fmt(r)] for x, r in zip(xs, ratios)),
+        records,
+        lambda: {"results": records, "summary": {"final_ratio": ratios[-1]}},
         EXIT_OK,
     )
 
 
 def _crossover(args):
     xstar = find_crossover(args.mu, args.nu, args.gamma, x_max=args.x_max)
+    records = [{"crossover": xstar}]
     return (
         {"mu": args.mu, "nu": args.nu, "gamma": args.gamma, "x_max": args.x_max},
-        lambda: {"results": [{"crossover": xstar}], "summary": {"found": xstar is not None}},
-        ["crossover"],
-        (["" if x is None else _fmt(x)] for x in [xstar]),
+        records,
+        lambda: {"results": records, "summary": {"found": xstar is not None}},
         EXIT_OK,
     )
 

@@ -167,6 +167,8 @@ def _besseli_large(order: float, x: float) -> ScaledValue:
         return _besseli_series(order, x)
     if m == 0:
         return ScaledValue.from_log(log_anchor)
+    if m > _RATIO_TERMS:
+        raise NonConvergence(f"order {order} needs more than {_RATIO_TERMS} I ratios")
     # I_order / I_frac is the product of the m ratios from frac upwards
     log_prod = math.fsum(map(math.log, besseli_ratios(frac, m, x)))
     return ScaledValue.from_log(log_anchor + log_prod)

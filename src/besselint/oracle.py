@@ -162,7 +162,10 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
 def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> QuadResult:
     if kernel.is_nonpositive_int(order + 1.0):
         raise InvalidOrder(f"negative integer order {order} is not supported")
-    p0 = math.fsum((mu, order, 1.0))  # correctly rounded near mu + ord = -1
+    try:
+        p0 = math.fsum((mu, order, 1.0))  # correctly rounded near mu + ord = -1
+    except OverflowError:
+        raise InvalidDomain(f"mu + ord + 1 overflows (mu={mu}, ord={order})") from None
     z = gamma * x
     # past the peak near k = x/2 the terms fall by e^-37 within ~4.3 sqrt(x)
     n = int(0.5 * x + 5.0 * math.sqrt(x) + max(0.0, -order)) + 10

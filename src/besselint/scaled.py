@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidDomain
+
 __all__ = ["ScaledValue"]
 
 #: values with |log| below this render as a plain float without overflow
@@ -48,7 +50,7 @@ class ScaledValue:
         if value == 0.0:
             return ScaledValue.zero()
         if math.isnan(value) or math.isinf(value):
-            raise ValueError(f"cannot represent {value!r} as a ScaledValue")
+            raise InvalidDomain(f"cannot represent {value!r} as a ScaledValue")
         return ScaledValue(1 if value > 0 else -1, math.log(abs(value)))
 
     @staticmethod
@@ -56,7 +58,7 @@ class ScaledValue:
         if sign == 0 or log_abs == -math.inf:
             return ScaledValue.zero()
         if math.isnan(log_abs) or log_abs == math.inf:
-            raise ValueError(f"non-finite log magnitude {log_abs!r}")
+            raise InvalidDomain(f"non-finite log magnitude {log_abs!r}")
         return ScaledValue(1 if sign > 0 else -1, log_abs)
 
     # -- queries -----------------------------------------------------------
@@ -82,11 +84,6 @@ class ScaledValue:
             "log_abs": self.log_abs,
             "decimal": self.to_float() if abs(self.log_abs) < _FLOAT_SAFE_LOG else None,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScaledValue":
-        """Inverse of :meth:`to_dict`; ``decimal`` is ignored."""
-        return ScaledValue(int(d["sign"]), float(d["log_abs"]))
 
     def rel_gap(self, other: "ScaledValue") -> float:
         """|self - other| / max(|self|, |other|); 0.0 when both are zero."""

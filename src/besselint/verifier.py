@@ -3,10 +3,10 @@
 A check compares one catalog bound against the series oracle at one
 parameter point and renders HOLDS / VIOLATED / INCONCLUSIVE.  The
 inconclusive band is the combined numerical uncertainty (the oracle's
-a-priori error bound + the bound's series tail + a small kernel floor): a
-strict inequality can never be certified numerically at an equality
-point, so points whose margin falls inside the band are neither passes
-nor failures.
+a-priori error bound + the bound's series tail + a small kernel floor +
+the rounding of both logs): a strict inequality can never be certified
+numerically at an equality point, so points whose margin falls inside the
+band are neither passes nor failures.
 
 Sweeps evaluate each integral once, keyed by its :class:`IntegralSpec`:
 checks that share an integral share its oracle result, and an integral
@@ -69,13 +69,6 @@ def _point_dict(p: Point) -> dict:
     return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
 
 
-def _point_from_dict(d: dict) -> Point:
-    mu = d.get("mu")
-    return Point(nu=float(d["nu"]), n=float(d.get("n", 0.0)),
-                 mu=None if mu is None else float(mu),
-                 gamma=float(d.get("gamma", 0.0)), x=float(d["x"]))
-
-
 @dataclass(frozen=True)
 class CheckReport:
     bound: BoundId
@@ -102,21 +95,6 @@ class CheckReport:
             "direction": self.direction.value,
             "reason": self.reason,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CheckReport":
-        return CheckReport(
-            bound=BoundId(d["bound"]),
-            point=_point_from_dict(d["point"]),
-            bound_value=ScaledValue.from_dict(d["bound_value"]),
-            oracle_value=ScaledValue.from_dict(d["oracle_value"]),
-            oracle_err=ScaledValue.from_dict(d["oracle_err"]),
-            verdict=Verdict(d["verdict"]),
-            rel_margin=float(d["rel_margin"]),
-            uncertainty=float(d["uncertainty"]),
-            direction=Direction(d["direction"]),
-            reason=d.get("reason"),
-        )
 
 
 @dataclass(frozen=True)
@@ -164,7 +142,10 @@ def _report_from_values(ev: BoundEval, oracle: QuadResult, tol: float) -> CheckR
         raise InvalidDomain("oracle integral is zero; no relative margin exists")
     ratio = (ev.value / oracle.value).to_float()
     margin = _margin(direction, ratio)
-    unc = oracle.rel_err() + KERNEL_UNCERTAINTY
+    # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
+    rounding = 2.0 ** -53 * (abs(ev.value.log_abs) + abs(oracle.value.log_abs))
+    unc = (oracle.rel_err() + KERNEL_UNCERTAINTY
+           + (math.expm1(rounding) if rounding < 709.0 else math.inf))
     if ev.tail_bound.sign and ev.value.sign:
         unc += (ev.tail_bound / abs(ev.value)).to_float()
     if not oracle.converged:
@@ -372,8 +353,8 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
         raise InvalidDomain(f"needs mu + nu > -1, got {mu + nu}")
     if not 0.0 <= gamma < 1.0:
         raise InvalidDomain(f"needs 0 <= gamma < 1, got {gamma}")
-    if not x_max > 0:
-        raise InvalidDomain(f"needs x_max > 0, got {x_max}")
+    if not x_max / 10.0 > 0:  # the first probe is at x_max/10 when that is below 0.1
+        raise InvalidDomain(f"needs x_max/10 > 0, got x_max={x_max}")
     if mu >= nu >= 0.5:
         return None
 

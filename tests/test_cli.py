@@ -4,13 +4,16 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from besselint.bounds import BoundId, Point
 from besselint.cli import run
-from besselint.verifier import CheckReport
+from besselint.verifier import check_point, default_grid, sweep
 
 
 def invoke(argv):
@@ -69,9 +72,8 @@ class TestCheck:
         code, text, _ = invoke(["check", "--bound", "lower3", "--nu", "0.5",
                                 "--gamma", "0.7", "--x", "4"])
         assert code == 0
-        payload = json.loads(text)
-        report = CheckReport.from_dict(payload["results"][0])
-        assert report.to_dict() == payload["results"][0]
+        report = check_point(BoundId.LOWER3, Point(nu=0.5, gamma=0.7, x=4.0))
+        assert json.loads(text)["results"] == [report.to_dict()]
 
     def test_out_of_domain_is_usage_error(self):
         code, _, err = invoke(["check", "--bound", "main", "--nu", "-0.7",
@@ -169,8 +171,17 @@ class TestSweepVerb:
         d = json.loads(text)
         assert d["summary"] == {"holds": 16, "violated": 0, "inconclusive": 0}
         assert len(d["results"]) == 16
-        back = [CheckReport.from_dict(r) for r in d["results"]]
-        assert [r.to_dict() for r in back] == d["results"]
+        grid = replace(default_grid(), nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
+                       x_values=(1.0, 10.0))
+        result = sweep([BoundId.MAIN, BoundId.SIMPLE], grid)
+        assert d["results"] == [r.to_dict() for r in result.reports]
+
+    def test_all_skipped_sweep_writes_no_csv(self):
+        # a CSV header comes from the first record; with none there is no output
+        code, text, _ = invoke(["sweep", "--bounds", "prop1", "--nu", "0", "--mu", "0",
+                                "--x", "1", "--format", "csv"])
+        assert code == 0
+        assert text == ""
 
     def test_exit_one_when_grid_contains_violations(self):
         # unrestricted PROP1 never violates; the sweep filters invalid points,
@@ -349,6 +360,62 @@ class TestHugeFiniteInputs:
         assert code in (2, 3)
         assert out == ""
         assert err.startswith("besselint check: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "eval --mu 1e300 --ord 894.77 --gamma 0 --x 4747",
+        "eval --mu 1e308 --ord 1e308 --gamma 0.5 --x 4.5e-12",
+        "bound --bound need2 --nu 0.999999 --gamma 0.5 --x 5e-324",
+        "check --bound lower2 --nu 1e200 --x 1",
+        "crossover --mu 7.7e-17 --nu 1e-300 --gamma 0 --x-max 5e-324",
+    ])
+    def test_finite_input_past_the_representation_is_usage_error(self, argv):
+        code, out, err = invoke(argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"besselint {argv.split()[0]}: InvalidDomain: ")
+        assert err.count("\n") == 1
+
+    def test_equality_point_where_two_nu_plus_n_is_tiny(self):
+        # 2 nu + n + 1 is 1.2e-19 here and must not round to 0
+        code, text, _ = invoke("bound --bound new1 --nu 5.77e-20 --n -1 --gamma 0 "
+                               "--x 9115.9".split())
+        assert code == 0
+        assert json.loads(text)["summary"]["direction"] == "equality"
+
+    @pytest.mark.parametrize("bound", ["lower3", "lower4"])
+    def test_huge_order_rounding_is_not_a_violation(self, bound):
+        # the logs of bound and oracle differ by one rounding unit at nu = 1e16
+        code, text, _ = invoke(f"check --bound {bound} --nu 1e16 --x 1".split())
+        assert code == 0
+        assert json.loads(text)["summary"]["verdict"] == "inconclusive"
+
+    def test_sweep_keeps_the_points_before_a_failed_order(self):
+        code, text, _ = invoke("sweep --bounds lower2 --nu 1,1e200 --x 1 --format csv"
+                               .split())
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(r["nu"], r["verdict"]) for r in rows] == (
+            [("1", "holds")] * 7 + [("9.9999999999999997e+199", "inconclusive")] * 7)
+        assert all(r["reason"] == "" for r in rows[:7])
+        assert all(r["reason"].startswith("InvalidDomain: ") for r in rows[7:])
+
+    def test_huge_order_reduction_fails_without_allocating(self):
+        # the order reduction would need 7.9e9 ratios; the address-space cap
+        # makes a run that builds them fail fast instead of filling memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "besselint", "bound", "--bound", "lower3",
+             "--nu", "7937559750", "--x", "3172660715105"],
+            capture_output=True, text=True, env=env, timeout=5, preexec_fn=cap_memory)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("besselint bound: NonConvergence: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestModuleEntryPoint:

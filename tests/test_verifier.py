@@ -1,12 +1,12 @@
+import io
 import json
 
 import pytest
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point
-from besselint import oracle
+from besselint import cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.verifier import (
-    CheckReport,
     Grid,
     Verdict,
     check_point,
@@ -45,11 +45,21 @@ class TestCheckPoint:
         with pytest.raises(InvalidDomain, match=r"tolerance must lie in \[1e-13, 1e-06\]"):
             check_point(BoundId.MAIN, Point(nu=0.0, gamma=0.3, x=2.0), tol=tol)
 
+    @pytest.mark.parametrize("bid", [BoundId.MAIN, BoundId.NEED2, BoundId.LOWER3,
+                                     BoundId.LOWER4])
+    def test_huge_order_margin_is_within_log_rounding(self, bid):
+        # |log_abs| is about 3.65e17 at nu = 1e16, so one rounding unit of each
+        # log (64) swamps the margin of about 6e27 either way
+        r = check_point(bid, Point(nu=1e16, x=1.0))
+        assert r.verdict is Verdict.INCONCLUSIVE
+        assert abs(r.rel_margin) <= r.uncertainty
+
     def test_report_round_trips_through_json(self):
+        # the CLI's JSON record is the report's to_dict, member for member
         r = check_point(BoundId.MAIN, Point(nu=0.0, gamma=0.3, x=2.0))
-        encoded = json.dumps(r.to_dict())
-        back = CheckReport.from_dict(json.loads(encoded))
-        assert back == r
+        out = io.StringIO()
+        assert cli.run("check --bound main --nu 0 --gamma 0.3 --x 2".split(), out=out) == 0
+        assert json.loads(out.getvalue())["results"] == [r.to_dict()]
 
 
 class TestSweep:
