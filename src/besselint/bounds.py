@@ -1,10 +1,10 @@
 """Closed-form bounds for the incomplete Bessel integral family.
 
 Every bound in the catalog targets an integral of the form
-``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and evaluates to a
-:class:`ScaledValue` with the common factor ``e^(-gamma x) x^power``
-extracted first, so nothing overflows and the Bessel combinations keep
-their relative accuracy.
+``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and is evaluated as a
+``(sign, log)`` float pair: the prefactor ``e^(-gamma x) x^power`` is a log
+term and the Bessel combination one ``math.fsum`` scaled by its largest
+``I``, so nothing overflows; :func:`bound_value` builds the ScaledValues.
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -104,7 +104,7 @@ class BoundId(Enum):
     DAY = "day"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A parameter point (nu, n, mu, gamma, x); n and mu only matter to
     bounds that use them."""
@@ -116,7 +116,7 @@ class Point:
     x: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEval:
     bound: "BoundId"
     point: Point
@@ -211,16 +211,16 @@ def geometric_tail_series(nu: float, gamma: float, x: float, *,
 # catalog
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Entry:
     """One catalog bound: the axes it uses, its own hypotheses (checked after
-    ``x > 0`` and ``0 <= gamma < 1``), its value as ``(value, series terms,
-    tail bound)``, the integral it bounds and its direction at a point."""
+    ``x > 0`` and ``0 <= gamma < 1``), its value as ``(sign, log, series terms,
+    tail log)`` (-inf for zero), the integral it bounds and its direction."""
 
     uses_n: bool
     uses_mu: bool
     hypothesis: Callable[[Point], Optional[str]]
-    evaluate: Callable[[Point], tuple[ScaledValue, int, ScaledValue]]
+    evaluate: Callable[[Point], tuple[int, float, int, float]]
     integrand: Callable[[Point], IntegralSpec]
     direction_at: Callable[[Point], Direction]
 
@@ -241,12 +241,30 @@ def _lower(p: Point) -> Direction:
     return Direction.LOWER
 
 
-def _prefactor(p: Point, power: float) -> ScaledValue:
-    return ScaledValue.from_log(-p.gamma * p.x + power * math.log(p.x))
+def _prefactor_log(p: Point, power: float) -> float:
+    log = -p.gamma * p.x + power * math.log(p.x)
+    if math.isnan(log) or log == math.inf:  # -inf is an underflow to zero
+        raise InvalidDomain(f"non-finite log magnitude {log!r}")
+    return log
 
 
-def _no_series(value: ScaledValue) -> tuple[ScaledValue, int, ScaledValue]:
-    return value, 0, ScaledValue.zero()
+def _combination(p: Point, power: float, *terms: tuple[float, float]):
+    """The evaluator tuple of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms``
+    ``(c_i, o_i)``: ``math.fsum`` adds the terms relative to the largest ``I_i``
+    with ``c_i != 0``.  A log or a coefficient that is not finite raises the
+    :class:`InvalidDomain` that a ScaledValue made from it would."""
+    pre = _prefactor_log(p, power)
+    scaled = []
+    for c, order in terms:
+        i = kernel.besseli(order, p.x)
+        if not math.isfinite(c):
+            raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
+        if i.sign and c:
+            scaled.append((c * i.sign, i.log_abs))
+    top = max([log for _, log in scaled], default=0.0)
+    total = math.fsum([c * math.exp(log - top) for c, log in scaled])
+    sign = (total > 0) - (total < 0)
+    return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, -math.inf
 
 
 def _family_nu_nu(p: Point) -> IntegralSpec:
@@ -265,19 +283,15 @@ def _nu_gt(threshold: float):
 
 # -- constant-times-I bounds for F(nu, nu) ------------------------------
 
-def _const_times_i(const: Callable[[float, float], float]):
-    """Evaluator of ``const(nu, gamma) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
-    def evaluate(p: Point):
-        c = const(p.nu, p.gamma)
-        return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + 1.0, p.x) * c)
-    return evaluate
+def _const_times_i(num: Callable[[float], float]):
+    """Evaluator of ``num(nu)/((2 nu+1)(1-g)) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
+    return lambda p: _combination(
+        p, p.nu, (num(p.nu) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)), p.nu + 1.0))
 
 
 def _v_baaad(p: Point):
-    combo = (kernel.besseli(p.nu + 1.0, p.x) * (2.0 * (p.nu + 1.0))
-             - kernel.besseli(p.nu + 3.0, p.x))
-    return _no_series(_prefactor(p, p.nu) * combo
-                      / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)))
+    d = (2.0 * p.nu + 1.0) * (1.0 - p.gamma)
+    return _combination(p, p.nu, (2.0 * (p.nu + 1.0) / d, p.nu + 1.0), (-1.0 / d, p.nu + 3.0))
 
 
 def _ok_halfplus(p: Point) -> Optional[str]:
@@ -287,6 +301,16 @@ def _ok_halfplus(p: Point) -> Optional[str]:
 
 
 # -- generalized-order bounds for F(nu, nu+n) ---------------------------
+# (nu + n + 1 and 2 nu + n + 1 cancel near n = -1 and are rounded once: n + 1 is
+# exact there, and the fsum is scaled by 1/4 so that it cannot overflow)
+
+def _ok_lower4(p: Point) -> Optional[str]:
+    if not p.n > -1.0:
+        return f"n > -1 (got n={p.n})"
+    if not p.nu > -(p.n + 1.0) / 2.0:
+        return f"nu > -(n+1)/2 (got nu={p.nu}, n={p.n})"
+    return None
+
 
 def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
     if p.gamma == 0.0 and p.n == -1.0:
@@ -298,39 +322,24 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
             return Direction.REVERSED, (
                 f"nu > -(n+1) in the reversed regime (got nu={p.nu}, n={p.n})")
         return Direction.REVERSED, None
-    if not p.n > -1.0:
-        return Direction.UPPER, f"n > -1 (got n={p.n})"
-    if not p.nu > -(p.n + 1.0) / 2.0:
-        return Direction.UPPER, f"nu > -(n+1)/2 (got nu={p.nu}, n={p.n})"
-    if p.gamma != 0.0 and not p.nu >= 0.5:
-        return Direction.UPPER, f"nu >= 1/2 when gamma > 0 (got nu={p.nu})"
-    return Direction.UPPER, None
+    reason = _ok_lower4(p)
+    if reason is None and p.gamma != 0.0 and not p.nu >= 0.5:
+        reason = f"nu >= 1/2 when gamma > 0 (got nu={p.nu})"
+    return Direction.UPPER, reason
 
 
 def _v_new1(p: Point):
-    s = math.fsum((2.0 * p.nu, p.n, 1.0))  # correctly rounded near 2 nu + n = -1
-    combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
-             - kernel.besseli(p.nu + p.n + 3.0, p.x) * (p.n + 1.0))
-    return _no_series(_prefactor(p, p.nu) * combo / (s * (1.0 - p.gamma)))
-
-
-def _ok_lower4(p: Point) -> Optional[str]:
-    if not p.n > -1.0:
-        return f"n > -1 (got n={p.n})"
-    if not p.nu > -(p.n + 1.0) / 2.0:
-        return f"nu > -(n+1)/2 (got nu={p.nu}, n={p.n})"
-    return None
+    a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
+    return _combination(p, p.nu, (2.0 * a / s / (1.0 - p.gamma), p.nu + p.n + 1.0),
+                        (-(p.n + 1.0) / s / (1.0 - p.gamma), p.nu + p.n + 3.0))
 
 
 def _v_lower4(p: Point):
-    s = math.fsum((2.0 * p.nu, p.n, 1.0))  # correctly rounded near 2 nu + n = -1
+    a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
     s3 = 2.0 * p.nu + p.n + 3.0
-    combo = (kernel.besseli(p.nu + p.n + 1.0, p.x) * (2.0 * (p.nu + p.n + 1.0))
-             - kernel.besseli(p.nu + p.n + 3.0, p.x)
-             * (2.0 * (p.n + 1.0) * (p.nu + p.n + 3.0) / s3)
-             + kernel.besseli(p.nu + p.n + 5.0, p.x)
-             * ((p.n + 1.0) * (p.n + 3.0) / s3))
-    return _no_series(_prefactor(p, p.nu) * combo / s)
+    return _combination(p, p.nu, (2.0 * a / s, p.nu + p.n + 1.0),
+                        (-2.0 * (p.n + 1.0) * (p.nu + p.n + 3.0) / s3 / s, p.nu + p.n + 3.0),
+                        ((p.n + 1.0) * (p.n + 3.0) / s3 / s, p.nu + p.n + 5.0))
 
 
 def _ok_gamma_zero(p: Point) -> Optional[str]:
@@ -346,8 +355,9 @@ def _geometric(power_offset: float):
     """Evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
     def evaluate(p: Point):
         total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x)
-        pre = _prefactor(p, p.nu + power_offset)
-        return pre * total, terms, pre * tail
+        pre = _prefactor_log(p, p.nu + power_offset)
+        return (total.sign, pre + total.log_abs, terms,
+                pre + tail.log_abs if tail.sign else -math.inf)
     return evaluate
 
 
@@ -362,9 +372,7 @@ def _lower1_direction(p: Point) -> Direction:
 def _v_lower2_like(p: Point):
     bracket = 1.0 - (2.0 * p.nu * (2.0 * p.nu + c_nu(p.nu - 1.0))
                      / ((2.0 * p.nu - 1.0) * (1.0 - p.gamma) * p.x))
-    val = (_prefactor(p, p.nu) * kernel.besseli(p.nu, p.x)
-           * ScaledValue.from_float(bracket) / (1.0 - p.gamma))
-    return _no_series(val)
+    return _combination(p, p.nu, (bracket / (1.0 - p.gamma), p.nu))
 
 
 # -- remaining individual bounds -----------------------------------------
@@ -380,17 +388,15 @@ def _ok_prop1(p: Point) -> Optional[str]:
 def _v_prop1(p: Point):
     if p.mu is None:
         raise InvalidDomain("PROP1 needs mu")
-    return _no_series(_prefactor(p, p.mu) * kernel.besseli(p.nu, p.x)
-                      / (1.0 - p.gamma))
+    return _combination(p, p.mu, (1.0 / (1.0 - p.gamma), p.nu))
 
 
 def _v_need2(p: Point):
-    combo = (kernel.besseli(p.nu + 1.0, p.x)
-             * (2.0 * (p.nu + 1.0) / p.x + p.gamma)
-             + kernel.besseli(p.nu + 2.0, p.x) * (p.gamma * p.gamma)
-             if p.gamma > 0 else
-             kernel.besseli(p.nu + 1.0, p.x) * (2.0 * (p.nu + 1.0) / p.x))
-    return _no_series(_prefactor(p, p.nu + 1.0) * combo / (2.0 * p.nu + 1.0))
+    d = 2.0 * p.nu + 1.0
+    first = ((2.0 * (p.nu + 1.0) / p.x + p.gamma) / d, p.nu + 1.0)
+    if p.gamma > 0:
+        return _combination(p, p.nu + 1.0, first, (p.gamma * p.gamma / d, p.nu + 2.0))
+    return _combination(p, p.nu + 1.0, first)
 
 
 def _ok_day(p: Point) -> Optional[str]:
@@ -402,7 +408,7 @@ def _ok_day(p: Point) -> Optional[str]:
 
 
 def _v_day(p: Point):
-    return _no_series(_prefactor(p, p.nu) * kernel.besseli(p.nu + p.n + 3.0, p.x))
+    return _combination(p, p.nu, (1.0, p.nu + p.n + 3.0))
 
 
 _NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _v_new1, _family_nu_nun,
@@ -410,19 +416,13 @@ _NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _v_new1, _family_nu_nu
 _LOWER4 = _Entry(True, False, _ok_lower4, _v_lower4, _family_nu_nun, _lower)
 
 CATALOG: dict[BoundId, _Entry] = {
-    BoundId.MAIN: _Entry(
-        False, False, _nu_gt(-0.5),
-        _const_times_i(lambda nu, g: (2.0 * (nu + 1.0) + c_nu(nu))
-                       / ((2.0 * nu + 1.0) * (1.0 - g))),
-        _family_nu_nu, _upper),
-    BoundId.SIMPLE: _Entry(
-        False, False, _nu_gt(-0.5),
-        _const_times_i(lambda nu, g: (2.0 * nu + 3.0) / ((2.0 * nu + 1.0) * (1.0 - g))),
-        _family_nu_nu, _upper),
-    BoundId.GAU1: _Entry(
-        False, False, _ok_halfplus,
-        _const_times_i(lambda nu, g: 2.0 * (nu + 1.0) / ((2.0 * nu + 1.0) * (1.0 - g))),
-        _family_nu_nu, _upper),
+    BoundId.MAIN: _Entry(False, False, _nu_gt(-0.5),
+                         _const_times_i(lambda nu: 2.0 * (nu + 1.0) + c_nu(nu)),
+                         _family_nu_nu, _upper),
+    BoundId.SIMPLE: _Entry(False, False, _nu_gt(-0.5),
+                           _const_times_i(lambda nu: 2.0 * nu + 3.0), _family_nu_nu, _upper),
+    BoundId.GAU1: _Entry(False, False, _ok_halfplus,
+                         _const_times_i(lambda nu: 2.0 * (nu + 1.0)), _family_nu_nu, _upper),
     BoundId.BAAAD: _Entry(False, False, _ok_halfplus, _v_baaad, _family_nu_nu, _upper),
     BoundId.NEW1: _NEW1,
     BoundId.LOWER4: _LOWER4,
@@ -462,10 +462,12 @@ def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = No
         reason = entry.invalid_reason(point)
         if reason is not None:
             raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
-    value, terms, tail = entry.evaluate(point)
-    return BoundEval(bound=id, point=point, value=value,
-                     direction=entry.direction_at(point),
-                     truncation_terms=terms, tail_bound=tail)
+    sign, log, terms, tail_log = entry.evaluate(point)
+    zero = ScaledValue.zero()
+    return BoundEval(bound=id, point=point,
+                     value=ScaledValue(sign, log) if sign and log > -math.inf else zero,
+                     direction=entry.direction_at(point), truncation_terms=terms,
+                     tail_bound=ScaledValue(1, tail_log) if tail_log > -math.inf else zero)
 
 
 # ----------------------------------------------------------------------

@@ -138,23 +138,17 @@ def _asym_series_log(nu: float, x: float) -> tuple[float, float]:
     truncation error by the first omitted term.
     """
     four_nu2 = 4.0 * nu * nu
-    s = 1.0
-    c = 1.0
+    s = c = 1.0
     prev = math.inf
-    est = math.inf
     for k in range(60):
         c *= ((2 * k + 1) ** 2 - four_nu2) / (8.0 * (k + 1) * x)
         if abs(c) >= prev:
-            est = prev / s  # series started diverging; stop at its minimum
-            break
+            break  # the series started diverging; stop at its minimum
         s += c
         prev = abs(c)
         if prev <= 1e-18 * s:
-            est = prev / s
             break
-    else:
-        est = prev / s
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(s), est
+    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(s), prev / s
 
 
 def _besseli_large(order: float, x: float) -> ScaledValue:

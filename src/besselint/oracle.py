@@ -41,7 +41,7 @@ from enum import Enum
 
 from . import kernel
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
-from .scaled import ScaledValue
+from .scaled import ScaledValue, exp_float
 
 __all__ = [
     "IntegralSpec",
@@ -69,7 +69,7 @@ _FRAME_MAX = 2.0 ** 500
 _MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralSpec:
     """One member of the integral family: ``(mu, ord, gamma, x)``.
 
@@ -95,7 +95,7 @@ class IntegralSpec:
             raise InvalidDomain(f"upper limit must be >= 0, got {self.x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadResult:
     """``value`` of F, an a-priori bound ``abs_err`` on its error, the number
     of series terms summed (``segments``) and whether ``abs_err`` is within
@@ -109,7 +109,7 @@ class QuadResult:
     def rel_err(self) -> float:
         if self.value.is_zero():
             return 0.0 if self.abs_err.is_zero() else math.inf
-        return (self.abs_err / abs(self.value)).to_float()
+        return exp_float(self.abs_err.sign, self.abs_err.log_abs - self.value.log_abs)
 
 
 def check_tol(tol: float) -> None:

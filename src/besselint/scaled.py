@@ -6,8 +6,8 @@ immune to overflow; sums of same-sign values go through log-sum-exp.  This
 is the carrier type for everything in this package that grows like
 ``exp((1-gamma)*x)``, which exceeds float range long before x reaches the
 upper end of the supported domain.
-Power series are summed in a float frame by ``kernel.power_series_sum``,
-not term by term here.
+Power series (``kernel.power_series_sum``) and bound combinations
+(``bounds._combination``) are summed in float frames, not term by term here.
 """
 
 from __future__ import annotations
@@ -17,13 +17,20 @@ from dataclasses import dataclass
 
 from .errors import InvalidDomain
 
-__all__ = ["ScaledValue"]
+__all__ = ["ScaledValue", "exp_float"]
 
 #: values with |log| below this render as a plain float without overflow
 _FLOAT_SAFE_LOG = 700.0
 
 
-@dataclass(frozen=True)
+def exp_float(sign: int, log_abs: float) -> float:
+    """``sign * exp(log_abs)``, saturating to +-inf past log 700 and to 0 below -745."""
+    if sign == 0 or log_abs < -745.0:
+        return 0.0
+    return math.inf * sign if log_abs > _FLOAT_SAFE_LOG else sign * math.exp(log_abs)
+
+
+@dataclass(frozen=True, slots=True)
 class ScaledValue:
     """A real number represented as ``sign * exp(log_abs)``.
 
@@ -68,13 +75,7 @@ class ScaledValue:
 
     def to_float(self) -> float:
         """Nearest float; overflows to +-inf rather than raising."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_abs > _FLOAT_SAFE_LOG:
-            return math.inf * self.sign
-        if self.log_abs < -745.0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
+        return exp_float(self.sign, self.log_abs)
 
     def to_dict(self) -> dict:
         """``{sign, log_abs, decimal}``; ``decimal`` is None unless the value

@@ -1,16 +1,16 @@
 """Certification harness: verdicts, grid sweeps, tables, tightness, crossover.
 
-A check compares one catalog bound against the series oracle at one
-parameter point and renders HOLDS / VIOLATED / INCONCLUSIVE.  The
+A check compares one catalog bound against the series oracle at one point
+and renders HOLDS / VIOLATED / INCONCLUSIVE from the ``(sign, log_abs)`` of
+each: their ratio is one ``exp`` of the difference of the logs.  The
 inconclusive band is the combined numerical uncertainty (the oracle's
-a-priori error bound + the bound's series tail + a small kernel floor +
-the rounding of both logs): a strict inequality can never be certified
-numerically at an equality point, so points whose margin falls inside the
-band are neither passes nor failures.
+a-priori error bound + the bound's series tail + a small kernel floor + the
+rounding of both logs): a strict inequality can never be certified at an
+equality point, so a margin inside the band is neither pass nor failure.
 
-Sweeps evaluate each integral once, keyed by its :class:`IntegralSpec`:
-checks that share an integral share its oracle result, and an integral
-whose series fails turns only the checks that need it INCONCLUSIVE.
+Sweeps evaluate each integral and its relative error once, keyed by its
+:class:`IntegralSpec`: checks that share an integral share its oracle result,
+and an integral whose series fails turns only its own checks INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .oracle import (
     check_tol,
     cumulative_bessel_integral,
 )
-from .scaled import ScaledValue
+from .scaled import ScaledValue, exp_float
 
 __all__ = [
     "Verdict",
@@ -69,7 +69,7 @@ def _point_dict(p: Point) -> dict:
     return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     bound: BoundId
     point: Point
@@ -97,7 +97,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkippedPoint:
     bound: BoundId
     point: Point
@@ -136,18 +136,19 @@ def _margin(direction: Direction, ratio: float) -> float:
     return -abs(ratio - 1.0)  # equality: any gap counts against
 
 
-def _report_from_values(ev: BoundEval, oracle: QuadResult, tol: float) -> CheckReport:
+def _report_from_values(ev: BoundEval, oracle: QuadResult, oracle_rel_err: float,
+                        tol: float) -> CheckReport:
     direction = ev.direction
     if oracle.value.is_zero():
         raise InvalidDomain("oracle integral is zero; no relative margin exists")
-    ratio = (ev.value / oracle.value).to_float()
+    ratio = exp_float(ev.value.sign * oracle.value.sign, ev.value.log_abs - oracle.value.log_abs)
     margin = _margin(direction, ratio)
     # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
     rounding = 2.0 ** -53 * (abs(ev.value.log_abs) + abs(oracle.value.log_abs))
-    unc = (oracle.rel_err() + KERNEL_UNCERTAINTY
+    unc = (oracle_rel_err + KERNEL_UNCERTAINTY
            + (math.expm1(rounding) if rounding < 709.0 else math.inf))
     if ev.tail_bound.sign and ev.value.sign:
-        unc += (ev.tail_bound / abs(ev.value)).to_float()
+        unc += exp_float(1, ev.tail_bound.log_abs - ev.value.log_abs)
     if not oracle.converged:
         unc = max(unc, tol)
     if margin > unc:
@@ -187,14 +188,14 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     ev = bound_value(id, nu=point.nu, n=point.n, mu=point.mu,
                      gamma=point.gamma, x=point.x, check_domain=not exploratory)
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
-    return _report_from_values(ev, oracle, tol)
+    return _report_from_values(ev, oracle, oracle.rel_err(), tol)
 
 
 # ----------------------------------------------------------------------
 # grid sweeps
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Grid:
     nu_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
@@ -222,11 +223,12 @@ def default_grid() -> Grid:
     )
 
 
-def _integral_or_error(spec: IntegralSpec, tol: float) -> QuadResult | BesselIntError:
+def _integral_or_error(spec: IntegralSpec, tol: float) -> tuple[QuadResult, float] | BesselIntError:
     try:
-        return bessel_integral(spec, tol)
+        result = bessel_integral(spec, tol)
     except BesselIntError as exc:
         return exc
+    return result, result.rel_err()
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
@@ -243,8 +245,10 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     """
     check_tol(tol)
     oracle_tol = _oracle_tol(tol)
-    tasks: list[tuple[BoundId, Point]] = []
+    tasks: list[tuple[BoundId, Point, IntegralSpec]] = []
     skipped: list[SkippedPoint] = []
+    # each distinct integral, in its (mu, ord, gamma) row; tasks share its object
+    rows: dict[tuple[float, float, float], dict[IntegralSpec, IntegralSpec]] = {}
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
         axes = (sorted(grid.nu_values), sorted(grid.n_values) if entry.uses_n else [0.0],
@@ -255,35 +259,33 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
             if reason is not None:
                 skipped.append(SkippedPoint(bid, point, reason))
             else:
-                tasks.append((bid, point))
+                spec = entry.integrand(point)
+                row = rows.setdefault((spec.mu, spec.ord, spec.gamma), {})
+                tasks.append((bid, point, row.setdefault(spec, spec)))
 
     # one oracle call per (mu, ord, gamma) row, where the benchmark tracer
     # counts rows; a failed row falls back to its points one by one, so that
     # an error stands in only for the integral that raised it
-    rows: dict[tuple[float, float, float], dict[IntegralSpec, None]] = {}
-    for bid, point in tasks:
-        spec = CATALOG[bid].integrand(point)
-        rows.setdefault((spec.mu, spec.ord, spec.gamma), {})[spec] = None
-    oracle_results: dict[IntegralSpec, QuadResult | BesselIntError] = {}
-    for (mu, ordv, gamma), specs in rows.items():
+    oracle_results: dict[IntegralSpec, tuple[QuadResult, float] | BesselIntError] = {}
+    for (mu, ordv, gamma), row in rows.items():
         try:
-            results = cumulative_bessel_integral(mu, ordv, gamma, [s.x for s in specs],
-                                                 oracle_tol)
+            results = [(r, r.rel_err()) for r in cumulative_bessel_integral(
+                mu, ordv, gamma, [s.x for s in row], oracle_tol)]
         except BesselIntError:
-            results = [_integral_or_error(s, oracle_tol) for s in specs]
-        oracle_results.update(zip(specs, results))
+            results = [_integral_or_error(s, oracle_tol) for s in row]
+        oracle_results.update(zip(row, results))
 
     reports: list[CheckReport] = []
     counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for bid, point in tasks:
-        oracle = oracle_results[CATALOG[bid].integrand(point)]
+    for bid, point, spec in tasks:
+        oracle = oracle_results[spec]
         if isinstance(oracle, BesselIntError):
             report = _failed_report(bid, point, oracle)
         else:
             try:
                 ev = bound_value(bid, nu=point.nu, n=point.n, mu=point.mu,
                                  gamma=point.gamma, x=point.x, check_domain=False)
-                report = _report_from_values(ev, oracle, tol)
+                report = _report_from_values(ev, *oracle, tol)
             except BesselIntError as exc:
                 report = _failed_report(bid, point, exc)
         reports.append(report)
@@ -295,7 +297,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
 # relative-error tables
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelErrTable:
     bound: BoundId
     nu_values: tuple[float, ...]

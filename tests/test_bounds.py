@@ -2,6 +2,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import (
     CATALOG,
@@ -19,7 +20,7 @@ from besselint.errors import InvalidDomain
 from besselint.kernel import besseli
 from besselint.oracle import bessel_integral
 from besselint.scaled import ScaledValue
-from besselint.verifier import default_grid
+from besselint.verifier import default_grid, logspace
 
 from conftest import sv_relerr
 
@@ -305,6 +306,89 @@ class TestSeriesBounds:
         e1 = bound_value(BoundId.LOWER1, nu=0.5, gamma=0.3, x=2.0).value
         e3 = bound_value(BoundId.LOWER3, nu=0.5, gamma=0.3, x=2.0).value
         assert (e1 / e3).to_float() == pytest.approx(2.0, rel=1e-12)
+
+
+def _mp_besseli_run(order, count, x):
+    """``I_{order+k}(x)`` for ``k < count``: two mpmath seeds at the top orders,
+    then the downward recurrence ``I_{m-1} = I_{m+1} + (2m/x) I_m``, which is
+    stable for I."""
+    run = [mp.besseli(order + count, x), mp.besseli(order + count - 1, x)]
+    for m in range(count - 1, 0, -1):
+        run.append(run[-2] + 2 * (order + m) / x * run[-1])
+    return run[:0:-1]
+
+
+def _closed_form(bid: BoundId, p: Point, series_terms: int):
+    """``(e^-gx x^power, [c_i I_i])`` of ``bid`` at ``p``, from the formulas of
+    the catalog table, in the current mpmath precision."""
+    nu, n, g, x = (mp.mpf(v) for v in (p.nu, p.n, p.gamma, p.x))
+    c_v = max(0, -4 * nu * (nu + 1))
+    d = (2 * nu + 1) * (1 - g)
+    s, s3 = 2 * nu + n + 1, 2 * nu + n + 3
+    I = lambda order: mp.besseli(order, x)  # noqa: E731
+    B = BoundId
+    if bid in (B.NEW1, B.TWOSIDED_U):
+        power, terms = nu, [2 * (nu + n + 1) / (s * (1 - g)) * I(nu + n + 1),
+                            -(n + 1) / (s * (1 - g)) * I(nu + n + 3)]
+    elif bid in (B.LOWER4, B.TWOSIDED_L):
+        power, terms = nu, [2 * (nu + n + 1) / s * I(nu + n + 1),
+                            -2 * (n + 1) * (nu + n + 3) / (s3 * s) * I(nu + n + 3),
+                            (n + 1) * (n + 3) / (s3 * s) * I(nu + n + 5)]
+    elif bid in (B.MAIN, B.SIMPLE, B.GAU1):
+        num = {B.MAIN: 2 * (nu + 1) + c_v, B.SIMPLE: 2 * nu + 3, B.GAU1: 2 * (nu + 1)}[bid]
+        power, terms = nu, [num / d * I(nu + 1)]
+    elif bid is B.BAAAD:
+        power, terms = nu, [2 * (nu + 1) / d * I(nu + 1), -I(nu + 3) / d]
+    elif bid in (B.LOWER1, B.LOWER3):
+        run = _mp_besseli_run(nu + 1, series_terms, x)
+        power = nu + 1 if bid is B.LOWER1 else nu
+        terms = [g ** k * i for k, i in enumerate(run)]
+    elif bid in (B.INTINEQ0, B.LOWER2):
+        a = 2 * nu * (2 * nu + max(0, -4 * (nu - 1) * nu)) / ((2 * nu - 1) * (1 - g) * x)
+        power, terms = nu, [I(nu) / (1 - g), -a * I(nu) / (1 - g)]
+    elif bid is B.PROP1:
+        power, terms = mp.mpf(p.mu), [I(nu) / (1 - g)]
+    elif bid is B.NEED2:
+        power, terms = nu + 1, [(2 * (nu + 1) / x + g) / (2 * nu + 1) * I(nu + 1),
+                                g * g / (2 * nu + 1) * I(nu + 2)]
+    else:
+        power, terms = nu, [I(nu + n + 3)]
+    return mp.exp(-g * x) * x ** power, terms
+
+
+@pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(nu=st.floats(-1.0, 10.0), n=st.floats(-3.0, 3.0), mu_over_nu=st.floats(0.0, 10.0),
+       gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       x=st.floats(math.log(1e-3), math.log(200.0)).map(math.exp))
+# the default grid's worst-conditioned combination: LOWER4 there has cond 314
+@example(nu=-0.49, n=0.0, mu_over_nu=0.0, gamma=0.0, x=logspace(1e-3, 200.0, 24)[-1])
+def test_bound_value_against_mpmath_closed_form(bid, nu, n, mu_over_nu, gamma, x):
+    """Every bound matches its closed form at 40 digits to 1e-13 times the
+    condition number ``sum |c_i I_i| / |sum c_i I_i|`` of its combination."""
+    entry = CATALOG[bid]
+    p = Point(nu=nu, n=n if entry.uses_n else 0.0,
+              mu=nu + mu_over_nu if entry.uses_mu else None, gamma=gamma, x=x)
+    assume(entry.invalid_reason(p) is None)
+    ev = bound_value(bid, nu=p.nu, n=p.n, mu=p.mu, gamma=p.gamma, x=p.x)
+    with mp.workdps(40):
+        pre, terms = _closed_form(bid, p, ev.truncation_terms)
+        exact = pre * mp.fsum(terms)
+        cond = mp.fsum(abs(t) for t in terms) / abs(mp.fsum(terms))
+        err = abs(ev.value.sign * mp.exp(ev.value.log_abs) - exact) / abs(exact)
+    assert err <= 1e-13 * max(1.0, float(cond)), (err, cond)
+
+
+@pytest.mark.parametrize("bid", [BoundId.NEW1, BoundId.LOWER4])
+@pytest.mark.parametrize("nu, n, x", [(1e-12, -0.99999, 1.0),
+                                      (4e-17, -0.9999999999999999, 3.0)])
+def test_nu_plus_n_plus_one_is_rounded_once(bid, nu, n, x):
+    # nu + n + 1 cancels here: rounding nu + n first put a relative error of
+    # 2.5e-12 into the NEW1 bound at the first point and 0.32 at the second
+    ev = bound_value(bid, nu=nu, n=n, x=x)
+    with mp.workdps(40):
+        pre, terms = _closed_form(bid, Point(nu=nu, n=n, x=x), 0)
+        assert abs(mp.exp(ev.value.log_abs) / (pre * mp.fsum(terms)) - 1) < 1e-14
 
 
 class TestSteinFactors:

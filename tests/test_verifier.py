@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -53,6 +54,11 @@ class TestCheckPoint:
         r = check_point(bid, Point(nu=1e16, x=1.0))
         assert r.verdict is Verdict.INCONCLUSIVE
         assert abs(r.rel_margin) <= r.uncertainty
+
+    def test_edge_of_the_upper_bound_hypotheses_holds(self):
+        # nu + n + 1 is 1.5e-16 here; a 50-digit series puts bound/F - 1 at +0.174
+        r = check_point(BoundId.TWOSIDED_U, Point(nu=4e-17, n=-0.9999999999999999, x=3.0))
+        assert r.verdict is Verdict.HOLDS
 
     def test_report_round_trips_through_json(self):
         # the CLI's JSON record is the report's to_dict, member for member
@@ -158,6 +164,13 @@ class TestSweep:
         for verdict in Verdict:
             assert res.counts[verdict.value] == sum(
                 r.verdict is verdict for r in res.reports)
+
+    def test_sweep_and_check_point_give_the_same_reports(self):
+        # sweep shares each integral and its rel_err() among the checks that
+        # need it; check_point computes its own for one check
+        reports = sweep(list(BoundId), default_grid()).reports
+        for r in random.Random(2026).sample(reports, 200):
+            assert check_point(r.bound, r.point).to_dict() == r.to_dict()
 
 
 class TestTables:
