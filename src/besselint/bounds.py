@@ -1,10 +1,12 @@
 """Closed-form bounds for the incomplete Bessel integral family.
 
 Every bound in the catalog targets an integral of the form
-``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and is evaluated as a
-``(sign, log)`` float pair: the prefactor ``e^(-gamma x) x^power`` is a log
-term and the Bessel combination one ``math.fsum`` scaled by its largest
-``I``, so nothing overflows; :func:`bound_value` builds the ScaledValues.
+``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and is evaluated by one
+function, ``_combination``, as a ``(sign, log)`` float pair: the prefactor
+``e^(-gamma x) x^power`` is a log term and the Bessel combination one
+``math.fsum`` scaled by its largest ``I``, so nothing overflows;
+:func:`bound_value` builds the ScaledValues.  The LOWER1/LOWER3 series is
+summed as floats relative to ``I_{v+1}`` and enters as that single term.
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -154,12 +156,12 @@ def x_star(nu: float, gamma: float) -> float:
 _FIRST_RATIO_BLOCK = 8
 
 
-def geometric_tail_series(nu: float, gamma: float, x: float, *,
-                          max_terms: Optional[int] = None
-                          ) -> tuple[ScaledValue, int, ScaledValue]:
-    """``sum_{k=0}^{K-1} gamma^k I_{nu+k+1}(x)`` with a certified tail bound.
+def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int, float]:
+    """``sum_{k=0}^{K-1} gamma^k I_{nu+k+1}(x)`` with a certified tail bound,
+    both relative to ``I_{nu+1}(x)``.
 
-    Returns ``(partial_sum, terms_used, tail_bound)`` with ``terms_used = K``.
+    Returns ``(partial_sum, terms_used, tail_bound)`` as floats in units of
+    ``I_{nu+1}(x)`` (the first term is 1), with ``terms_used = K``.
     Successive terms differ by the factor ``gamma r_{nu+k}``, where
     ``r_m = I_{m+1}(x)/I_m(x)`` decreases in m for m >= 0 (Amos 1974,
     Math. Comp. 28, 239-251; Segura 2011, J. Math. Anal. Appl. 374,
@@ -169,27 +171,17 @@ def geometric_tail_series(nu: float, gamma: float, x: float, *,
     decay of the orders, far below ``gamma^K I_{nu+1}(x)/(1-gamma)`` once
     ``x`` is small against the order.
 
-    Without ``max_terms``, K grows until the tail bound drops below
-    1e-12 times the partial sum.  With it, the sum has exactly
-    ``max(max_terms, 1)`` terms, fewer only when the terms underflow to
-    zero.  Every term is positive, so each truncation under-estimates.
-
-    The terms are summed as floats relative to ``I_{nu+1}(x)`` (each is at
-    most 1) and scaled by it at the end.  The ratios come in blocks of 8,
-    16, 32, ... orders, each from one continued fraction at its top order
-    and the downward recurrence below it.
+    K grows until the tail bound drops below 1e-12 times the partial sum.
+    Every term is positive, so the truncation under-estimates.  The ratios
+    come in blocks of 8, 16, 32, ... orders, each from one continued
+    fraction at its top order and the downward recurrence below it.
     """
     if x <= 0:
         raise InvalidDomain(f"series needs x > 0, got {x}")
     if not 0.0 <= gamma < 1.0:
         raise InvalidDomain(f"series needs 0 <= gamma < 1, got {gamma}")
-    first = kernel.besseli(nu + 1.0, x)
-    if gamma == 0.0 or first.is_zero():
-        return first, 1, ScaledValue.zero()
-    if max_terms is None:
-        limit, stop_ratio = math.inf, _SERIES_TOL
-    else:  # a fixed truncation level: stop early only once nothing is left
-        limit, stop_ratio = max(max_terms, 1), 0.0
+    if gamma == 0.0:
+        return 1.0, 1, 0.0
     ratios: list[float] = []  # ratios[k] = r_{nu+k+1}
     block = _FIRST_RATIO_BLOCK
     term = total = 1.0
@@ -200,8 +192,8 @@ def geometric_tail_series(nu: float, gamma: float, x: float, *,
             block *= 2
         q = gamma * ratios[terms - 1]
         tail = term * q / (1.0 - q)
-        if terms >= limit or tail <= stop_ratio * total:
-            return first * total, terms, first * tail
+        if tail <= _SERIES_TOL * total:
+            return total, terms, tail
         term *= q
         total += term
         terms += 1
@@ -256,10 +248,9 @@ def _combination(p: Point, power: float, *terms: tuple[float, float]):
     pre = _prefactor_log(p, power)
     scaled = []
     for c, order in terms:
-        i = kernel.besseli(order, p.x)
         if not math.isfinite(c):
             raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
-        if i.sign and c:
+        if c and (i := kernel.besseli(order, p.x)).sign:
             scaled.append((c * i.sign, i.log_abs))
     top = max([log for _, log in scaled], default=0.0)
     total = math.fsum([c * math.exp(log - top) for c, log in scaled])
@@ -355,9 +346,9 @@ def _geometric(power_offset: float):
     """Evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
     def evaluate(p: Point):
         total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x)
-        pre = _prefactor_log(p, p.nu + power_offset)
-        return (total.sign, pre + total.log_abs, terms,
-                pre + tail.log_abs if tail.sign else -math.inf)
+        sign, log, _, _ = _combination(p, p.nu + power_offset, (total, p.nu + 1.0))
+        share = tail / total
+        return sign, log, terms, log + math.log(share) if share else -math.inf
     return evaluate
 
 
@@ -393,10 +384,8 @@ def _v_prop1(p: Point):
 
 def _v_need2(p: Point):
     d = 2.0 * p.nu + 1.0
-    first = ((2.0 * (p.nu + 1.0) / p.x + p.gamma) / d, p.nu + 1.0)
-    if p.gamma > 0:
-        return _combination(p, p.nu + 1.0, first, (p.gamma * p.gamma / d, p.nu + 2.0))
-    return _combination(p, p.nu + 1.0, first)
+    return _combination(p, p.nu + 1.0, ((2.0 * (p.nu + 1.0) / p.x + p.gamma) / d, p.nu + 1.0),
+                        (p.gamma * p.gamma / d, p.nu + 2.0))
 
 
 def _ok_day(p: Point) -> Optional[str]:
@@ -454,7 +443,8 @@ def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = No
 
     ``check_domain=False`` skips the hypothesis check (exploratory mode,
     e.g. probing PROP1 beyond its validity); the formula itself must still
-    be computable there.
+    be computable there.  A closed form that divides by zero raises
+    :class:`InvalidDomain` naming the bound.
     """
     entry = CATALOG[id]
     point = Point(nu=nu, n=n, mu=mu, gamma=gamma, x=x)
@@ -462,7 +452,10 @@ def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = No
         reason = entry.invalid_reason(point)
         if reason is not None:
             raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
-    sign, log, terms, tail_log = entry.evaluate(point)
+    try:
+        sign, log, terms, tail_log = entry.evaluate(point)
+    except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
+        raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None
     zero = ScaledValue.zero()
     return BoundEval(bound=id, point=point,
                      value=ScaledValue(sign, log) if sign and log > -math.inf else zero,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import (
     CATALOG,
+    BoundEval,
     BoundId,
     Direction,
     Point,
@@ -16,8 +18,8 @@ from besselint.bounds import (
     m_value,
     x_star,
 )
-from besselint.errors import InvalidDomain
-from besselint.kernel import besseli
+from besselint.errors import BesselIntError, InvalidDomain
+from besselint.kernel import besseli, besseli_ratios
 from besselint.oracle import bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import default_grid, logspace
@@ -180,6 +182,20 @@ class TestBoundValues:
                          check_domain=False)
         assert ev.value.sign == 1
 
+    @pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
+    def test_exploratory_evaluation_fails_only_with_package_errors(self, bid):
+        # hypothesis boundaries where closed forms divide by zero: 2 nu + 1 = 0,
+        # 2 nu + n + 1 = 0, gamma = 1; nu = -1 and n = -1, -3 give integer orders
+        for nu, n, mu, gamma, x in itertools.product(
+                (-1.0, -0.5, 0.0, 0.5, 1.0), (-3.0, -1.0, 0.0), (None, 0.5),
+                (0.0, 0.5, 1.0), (1e-3, 1.0, 50.0)):
+            try:
+                ev = bound_value(bid, nu=nu, n=n, mu=mu, gamma=gamma, x=x,
+                                 check_domain=False)
+            except BesselIntError:
+                continue
+            assert isinstance(ev, BoundEval), (nu, n, mu, gamma, x)
+
 
 class TestOrderings:
     NUS = [-0.49, -0.25, 0.0, 0.5, 1.0, 2.5, 10.0]
@@ -230,38 +246,42 @@ class TestOrderings:
 
 class TestSeriesBounds:
     def test_gamma_zero_is_single_term(self):
-        total, terms, tail = geometric_tail_series(0.5, 0.0, 5.0)
-        assert terms == 1 and tail.sign == 0
-        assert total == besseli(1.5, 5.0)
+        assert geometric_tail_series(0.5, 0.0, 5.0) == (1.0, 1, 0.0)
 
     def test_partial_sums_nondecreasing_and_always_lower(self):
         nu, gamma, x = 0.5, 0.7, 5.0
         f = oracle(BoundId.LOWER3, nu=nu, gamma=gamma, x=x)
-        pre = ScaledValue.from_log(-gamma * x + nu * math.log(x))  # LOWER3's e^-gx x^nu
-        prev = None
-        for k in (1, 2, 4, 8, 20, 60):
-            value = pre * geometric_tail_series(nu, gamma, x, max_terms=k)[0]
-            assert value < f  # valid lower bound at every truncation
+        total, terms, _ = geometric_tail_series(nu, gamma, x)
+        # LOWER3's e^-gx x^nu I_{nu+1}, the unit of the series
+        unit = ScaledValue.from_log(-gamma * x + nu * math.log(x)) * besseli(nu + 1.0, x)
+        value = unit * ScaledValue.from_float(total)
+        # the catalog bound is that product at the certified stop
+        assert value == bound_value(BoundId.LOWER3, nu=nu, gamma=gamma, x=x).value
+        assert value < f
+        # every shorter partial sum, from the same ratios, is a smaller lower bound
+        partial, term, prev = 1.0, 1.0, None
+        for r in besseli_ratios(nu + 1.0, terms, x)[:-1]:
+            assert unit * ScaledValue.from_float(partial) < f
             if prev is not None:
-                assert prev <= value
-            prev = value
-        # the catalog bound is the same product at the certified stop
-        assert pre * geometric_tail_series(nu, gamma, x)[0] == bound_value(
-            BoundId.LOWER3, nu=nu, gamma=gamma, x=x).value
+                assert prev < partial
+            prev, term = partial, term * gamma * r
+            partial += term
+        assert partial == pytest.approx(total, rel=1e-14)
 
     def test_tail_certificate_brackets_true_tail(self):
-        # (nu, gamma, x, max_terms): both ends of the grid's x range at
-        # gamma = 0.99, forced truncations and certified stops
+        # (nu, gamma, x): both ends of the grid's x range at gamma = 0.99, the
+        # LOWER1 edge nu -> -1, and large and small orders against x
         cases = [
-            (0.0, 0.99, 1e-3, None), (0.0, 0.99, 200.0, None),
-            (-0.49, 0.99, 200.0, 3), (0.0, 0.99, 1e-3, 1),
-            (0.5, 0.7, 5.0, 7), (2.5, 0.7, 5.0, None),
-            (10.0, 0.1, 1e-3, 1), (-0.49, 0.5, 1.0, 10),
-            (10.0, 0.99, 200.0, 10), (-0.9, 0.3, 50.0, None),
+            (0.0, 0.99, 1e-3), (0.0, 0.99, 200.0),
+            (-0.49, 0.99, 200.0), (-0.99, 0.99, 1e-3),
+            (0.5, 0.7, 5.0), (2.5, 0.7, 5.0),
+            (10.0, 0.1, 1e-3), (-0.49, 0.5, 1.0),
+            (10.0, 0.99, 200.0), (-0.9, 0.3, 50.0),
         ]
-        for nu, gamma, x, max_terms in cases:
-            total, terms, tail = geometric_tail_series(nu, gamma, x, max_terms=max_terms)
-            # the true tail sum_{k >= K} gamma^k I_{nu+k+1}(x), summed with mpmath
+        for nu, gamma, x in cases:
+            total, terms, tail = geometric_tail_series(nu, gamma, x)
+            # the true tail sum_{k >= K} gamma^k I_{nu+k+1}(x), summed with
+            # mpmath in units of I_{nu+1}(x) like the series
             true_tail, k = mp.mpf(0), terms
             while True:
                 t = mp.mpf(gamma) ** k * mp.besseli(nu + k + 1, x)
@@ -269,15 +289,10 @@ class TestSeriesBounds:
                 if t < mp.mpf("1e-30") * true_tail:
                     break
                 k += 1
-            loose = gamma ** terms * mp.besseli(nu + 1, x) / (1 - gamma)
-            bound = mp.e ** mp.mpf(tail.log_abs)
-            case = (nu, gamma, x, max_terms, terms)
-            assert true_tail <= bound, case
-            assert bound <= loose, case
-            if max_terms is not None:
-                assert terms == max_terms, case
-            else:
-                assert (tail / total).to_float() <= 1e-12, case
+            true_tail /= mp.besseli(nu + 1, x)
+            case = (nu, gamma, x, terms)
+            assert true_tail <= tail <= gamma ** terms / (1 - gamma), case
+            assert tail <= 1e-12 * total, case
         # the old bound needed about 3 200 terms here
         assert geometric_tail_series(0.0, 0.99, 1e-3)[1] <= 10
 
@@ -294,12 +309,17 @@ class TestSeriesBounds:
 
     def test_tail_below_series_tol(self):
         # the series stops at the first K whose certified tail is at most
-        # 1e-12 of the sum
+        # 1e-12 of the sum: at K - 1 terms, recomputed with mpmath, it is not
         for nu, gamma, x in ((1.0, 0.3, 8.0), (1.0, 0.9, 8.0), (0.0, 0.99, 200.0)):
             total, terms, tail = geometric_tail_series(nu, gamma, x)
-            assert (tail / total).to_float() <= 1e-12
-            total, _, tail = geometric_tail_series(nu, gamma, x, max_terms=terms - 1)
-            assert (tail / total).to_float() > 1e-12
+            assert tail <= 1e-12 * total
+            assert terms >= 2
+            # t_k = gamma^k I_{nu+k+1}/I_{nu+1}; the certificate after t_{K-2}
+            # is t_{K-2} q/(1-q) with q = gamma I_{nu+K}/I_{nu+K-1}
+            i_m = [mp.besseli(nu + 1 + j, x) for j in range(terms)]
+            t = [mp.mpf(gamma) ** k * i_m[k] / i_m[0] for k in range(terms - 1)]
+            q = gamma * i_m[terms - 1] / i_m[terms - 2]
+            assert t[-1] * q / (1 - q) > 1e-12 * mp.fsum(t), (nu, gamma, x, terms)
 
     def test_lower1_prefactor_power(self):
         # LOWER1 carries x^(nu+1), LOWER3 carries x^nu

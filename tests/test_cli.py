@@ -81,6 +81,30 @@ class TestCheck:
         assert code == 2
         assert "violated hypothesis" in err
 
+    @pytest.mark.parametrize("args", [
+        "--bound new1 --nu 0 --n -1 --gamma 0.5 --x 1 --exploratory",
+        "--bound lower4 --nu 0 --n -1 --x 1 --exploratory",
+        "--bound need2 --nu -0.5 --x 1 --exploratory",
+        "--bound baaad --nu -0.5 --x 1 --exploratory",
+        "--bound main --nu 0 --gamma 1 --x 1 --exploratory",
+        # inside the hypotheses: (2 nu - 1)(1 - gamma) x underflows to 0
+        "--bound intineq0 --nu 1 --gamma 0.5 --x 5e-324",
+    ])
+    def test_zero_divisor_is_usage_error(self, args):
+        code, out, err = invoke(f"check {args}".split())
+        assert code == 2  # not 1, which would read as a VIOLATED bound
+        assert out == ""
+        bound = args.split()[1]
+        assert err == (f"besselint check: InvalidDomain: {bound}: "
+                       "the closed form divides by zero here\n")
+
+    def test_exploratory_series_outside_its_range_is_usage_error(self):
+        code, out, err = invoke("check --bound lower3 --nu 0 --gamma 1 --x 1 --exploratory"
+                                .split())
+        assert code == 2
+        assert out == ""
+        assert err == "besselint check: InvalidDomain: series needs 0 <= gamma < 1, got 1.0\n"
+
 
 class TestUsageErrors:
     def test_unknown_verb(self):
