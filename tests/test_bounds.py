@@ -422,6 +422,14 @@ class TestSteinFactors:
         assert m_bound_constant(-0.25, -0.5, 2) == pytest.approx(9.0)
         assert m_bound_constant(0.5, 0.0, 0) == m_bound_constant(0.5, 0.0, 1)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_huge_order(self, n):
+        # K_{nu+n} at nu = 1e7 comes from Debye's expansion, not 1e7
+        # recurrence steps
+        cap = m_bound_constant(1e7, -0.5, n)
+        for x in (1.0, 10.0, 1000.0):
+            assert 0.0 < m_value(1e7, -0.5, n, x).to_float() < cap
+
     def test_small_x_quadratic_decay(self):
         # with n = 0 the product behaves like x^2 near the origin
         a = m_value(1.0, -0.3, 0, 1e-2).to_float()

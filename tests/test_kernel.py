@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from besselint.errors import InvalidDomain, InvalidOrder, NonConvergence
 from besselint.kernel import (
-    ACCURACY_LARGE_X, ACCURACY_SMALL_X, asym_large, asym_small, besseli, besseli_ratio,
-    besselk,
+    _RATIO_TERMS, ACCURACY_LARGE_X, ACCURACY_SMALL_X, _besselk_debye_log, asym_large,
+    asym_small, besseli, besseli_ratio, besselk,
 )
 
 from conftest import log_relerr, sv_relerr
@@ -25,6 +25,15 @@ K_HALF_2 = 0.11993777196806145      # sqrt(pi/(2x)) e^-x at x = 2
 K_0_2 = 0.11389387274953344         # quadrature of the cosh representation
 K_03_1 = 0.43507602420880202
 RATIO_0_1 = 0.44638996589653451     # I_1(1)/I_0(1)
+
+
+def assert_k_log_close(order, x, log_true, rel=1e-14):
+    """besselk's log within ``rel`` of ``log_true`` (a relative error of rel in
+    K), or within two ulps of it where a log past about 20 is coarser."""
+    mine = besselk(order, x)
+    assert mine.sign == 1
+    err = abs(mp.mpf(mine.log_abs) - log_true)
+    assert err <= max(rel, 2 * math.ulp(float(log_true))), (order, x, float(err))
 
 
 class TestBesselI:
@@ -121,9 +130,9 @@ class TestBesselK:
                 assert err < 1e-10, (nu, x, err)
 
     # besselk is even in the order, so the range reaches what besseli's
-    # reflection asks of it.  The example has log(K e^x) near 511, where the
-    # converged trapezoid sums of successive steps still differ by one ulp,
-    # which is above the stop tolerance
+    # reflection asks of it.  The example sits in Temme's branch with 56
+    # recurrence steps, where log K is near 520 and one ulp of it is a
+    # relative error of 1.1e-13
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(order=st.floats(-1.0, 60.0, exclude_min=True),
            x=st.floats(math.log(1e-3), math.log(1000.0)).map(math.exp))
@@ -132,6 +141,64 @@ class TestBesselK:
         mine = besselk(order, x)
         err = abs(mp.mpf(mine.sign) * mp.exp(mine.log_abs) / mp.besselk(order, x) - 1)
         assert err < (ACCURACY_SMALL_X if x <= 50.0 else ACCURACY_LARGE_X)
+
+    # Temme's series serves x <= 2 and Steed's continued fraction x > 2
+    @pytest.mark.parametrize("x", [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)])
+    @pytest.mark.parametrize("order", [0.0, 0.3, -0.4999, 0.5, 1.0, 7.25, 40.6])
+    def test_method_switch_at_two(self, order, x):
+        assert_k_log_close(order, x, mp.log(mp.besselk(order, x)))
+
+    # mu = 0 takes the limits pi mu/sin(pi mu) -> 1 and sinh(e)/e -> 1
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 1.9, 3.0, 30.0])
+    @pytest.mark.parametrize("order", [0.0, 1e-17, -1e-17])
+    def test_order_zero_limits(self, order, x):
+        assert_k_log_close(order, x, mp.log(mp.besselk(order, x)))
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-3, 0.7, 2.0, 2.5, 30.0, 1000.0, 1e300])
+    @pytest.mark.parametrize("order", [0.5, -0.5, 1.5, -1.5, 2.5, -2.5])
+    def test_half_integer_closed_forms(self, order, x):
+        # K_{1/2} = sqrt(pi/(2x)) e^-x, K_{3/2} = K_{1/2} (1 + 1/x),
+        # K_{5/2} = K_{1/2} (1 + 3/x + 3/x^2)
+        t = 1 / mp.mpf(x)
+        poly = {0.5: 1, 1.5: 1 + t, 2.5: 1 + 3 * t + 3 * t * t}[abs(order)]
+        assert_k_log_close(order, x, 0.5 * mp.log(mp.pi * t / 2) - 1 / t + mp.log(poly))
+
+    @pytest.mark.parametrize("order", range(13))
+    def test_integer_orders(self, order):
+        for x in (1e-3, 0.5, 2.0, 5.0, 50.0, 700.0):
+            assert_k_log_close(float(order), x, mp.log(mp.besselk(order, x)))
+
+    @pytest.mark.parametrize("order", [0.0, 0.3, 2.5, 12.0, 40.6])
+    def test_tiny_argument(self, order):
+        assert_k_log_close(order, 1e-300, mp.log(mp.besselk(order, mp.mpf(1e-300))))
+
+    @pytest.mark.parametrize("order", [0.0, 0.3, 2.5, 12.0])
+    def test_huge_argument(self, order):
+        # CF2 carries e^-x as a log term: log K ~ -x - log(2x/pi)/2
+        x = 1e300
+        assert besselk(order, x).log_abs == pytest.approx(-x - 0.5 * math.log(2 * x / math.pi),
+                                                         rel=1e-15)
+        assert_k_log_close(order, 1e10, mp.log(mp.besselk(order, 1e10)))
+
+    # mpmath returns in milliseconds at order 1e4 and x <= 1000; from
+    # x ~ 6600 up it raises NoConvergence or runs past 10 s
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("nu", [1e4, 10000.3, 10000.5])
+    def test_debye_against_mpmath(self, nu, x):
+        true = mp.log(mp.besselk(nu, x))
+        assert abs(_besselk_debye_log(nu, x) - true) <= math.ulp(float(true))
+
+    @pytest.mark.parametrize("frac", [-0.5, -0.25, 0.0, 0.25, 0.4999])
+    def test_recurrence_across_debye_switch(self, frac):
+        # K_{nu+1} = (2 nu/x) K_nu + K_{nu-1}, with K_{nu+1} from Debye's
+        # expansion and the other two from the forward recurrence; at
+        # x = 0.6627 nu, where eta(x/nu) = 0, log K is small and one ulp
+        # of it is far below 1e-12
+        nu = _RATIO_TERMS + frac
+        x = 0.6627434193 * nu
+        logs = [mp.mpf(besselk(nu + d, x).log_abs) for d in (-1, 0, 1)]
+        k_lo, k_mid, k_hi = (mp.exp(v) for v in logs)
+        assert abs(k_hi - 2 * nu / x * k_mid - k_lo) / k_hi < 1e-12
 
 
 class TestRatio:

@@ -5,6 +5,7 @@ import tracemalloc
 import mpmath
 import pytest
 
+from besselint import kernel
 from besselint.errors import InvalidDomain, NonConvergence
 from besselint.oracle import (
     TOL_MAX,
@@ -227,6 +228,25 @@ class TestIdentities:
         assert identity_residual(IdentityId.BADBAD, 1.0, 0.0, 0.0, 3.0) < 1e-10
         assert identity_residual(IdentityId.WRONSKIAN, 0.7, 0.0, 0.0, 2.0) < 1e-10
         assert identity_residual(IdentityId.FIRSTINT, 1.2, 0.0, 0.6, 5.0) < 1e-10
+
+    @pytest.mark.parametrize("nu,log_k,cap", [
+        # besseli's log error -1.05e-10 plus K's rounding -3.4e-11
+        (1e5, "890353.1278206188339360213", 1.39e-10),
+        # besseli's log error -2.69e-10 (1.15 ulp) plus K's rounding -1.15e-10
+        (2e5, "1919331.665884394313400938", 3.85e-10),
+    ])
+    def test_wronskian_at_huge_order(self, nu, log_k, cap):
+        # x (I_nu K_{nu+1} + I_{nu+1} K_nu) = 1, so the residual is the sum of
+        # the two log errors of I_nu(10) and K_{nu+1}(10).  Those logs are
+        # near 1e6, where one ulp is 1.2e-10 (nu = 1e5) or 2.3e-10 (2e5).
+        # log_k is log K_{nu+1}(10) from the forward recurrence run in mpmath
+        # at 40 digits from K_0 and K_1; besselk rounds it once
+        k = kernel.besselk(nu + 1.0, 10.0)
+        half_ulp = 0.5 * math.ulp(k.log_abs)
+        assert abs(k.log_abs - mpmath.mpf(log_k)) <= half_ulp
+        err_i = abs(kernel.besseli(nu, 10.0).log_abs - mpmath.log(mpmath.besseli(nu, 10.0)))
+        residual = identity_residual(IdentityId.WRONSKIAN, nu, 0.0, 0.0, 10.0)
+        assert residual <= min(cap, err_i + half_ulp)
 
     def test_domains(self):
         with pytest.raises(InvalidDomain):
