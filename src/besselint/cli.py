@@ -3,6 +3,9 @@
 Verbs: ``eval``, ``bound``, ``check``, ``sweep``, ``table``, ``tightness``,
 ``crossover``.  Output is JSON (default) or CSV; magnitudes are rendered
 as (sign, log_abs) pairs plus a plain decimal whenever |log_abs| < 700.
+The JSON envelope is ``{command, parameters, results[], summary}``, plus
+``skipped[]`` for ``sweep``, written one top-level member per line and one
+list entry per line, so both ``json.load`` and line tools read it.
 
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
@@ -202,6 +205,20 @@ def _csv_row(record: dict) -> list:
             for v in (value.values() if type(value) is dict else (value,))]
 
 
+def _write_json(out, members: dict) -> None:
+    """``members`` one per line, a non-empty list one entry per line, each line one
+    ``json.dumps`` (CPython's C encoder, which ``indent`` turns off), none joined."""
+    for i, (key, value) in enumerate(members.items()):
+        out.write(f"{',' if i else '{'}\n{json.dumps(key)}: ")
+        if type(value) is list and value:
+            out.writelines(f"{',' if j else '['}\n{json.dumps(item)}"
+                           for j, item in enumerate(value))
+            out.write("\n]")
+        else:
+            out.write(json.dumps(value))
+    out.write("\n}\n")
+
+
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Join ``--flag -0.25,...`` into ``--flag=-0.25,...`` so argparse does
     not mistake negative numbers for option names."""
@@ -232,9 +249,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return EXIT_USAGE if isinstance(exc, InvalidDomain) else EXIT_NUMERICAL
 
     if args.format == "json":
-        json.dump({"command": args.verb, "parameters": parameters, **body()},
-                  out, indent=2)
-        out.write("\n")
+        _write_json(out, {"command": args.verb, "parameters": parameters, **body()})
     else:
         records = iter(records)
         first = next(records, None)

@@ -308,9 +308,11 @@ def _besselk_debye_log(nu: float, x: float) -> float:
 @lru_cache(maxsize=250000)
 def besselk(order: float, x: float) -> ScaledValue:
     """Modified Bessel function of the second kind; even in the order."""
-    if x <= 0:
-        raise InvalidDomain(f"besselk requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise InvalidDomain(f"besselk requires finite x > 0, got {x}")
     nu = abs(order)  # K_{-nu} = K_nu
+    if not nu < math.inf:
+        raise InvalidDomain(f"besselk requires a finite order, got {order}")
     n = math.floor(nu + 0.5)
     if n > _RATIO_TERMS:
         return ScaledValue.from_log(_besselk_debye_log(nu, x))
@@ -341,10 +343,10 @@ def besseli_ratio(nu: float, x: float) -> float:
     Strictly increasing in x, bounded by ``x/(nu+1/2+x)`` for nu > -1/2.
     It takes about ``6 sqrt(x)`` steps: NonConvergence past x ~ 2.8e8.
     """
-    if x <= 0:
-        raise InvalidDomain(f"besseli_ratio requires x > 0, got {x}")
-    if nu < -0.5:
-        raise InvalidDomain(f"besseli_ratio requires nu >= -1/2, got {nu}")
+    if not 0.0 < x < math.inf:
+        raise InvalidDomain(f"besseli_ratio requires finite x > 0, got {x}")
+    if not -0.5 <= nu < math.inf:
+        raise InvalidDomain(f"besseli_ratio requires finite nu >= -1/2, got {nu}")
     # 1/(b_1 + 1/(b_2 + ...)) with b_k = 2(nu+k)/x, by modified Lentz from
     # g = b_1; every b_k > 0, so no step can divide by zero
     g = c = 2.0 * (nu + 1.0) / x

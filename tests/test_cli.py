@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from besselint.bounds import BoundId, Point
-from besselint.cli import run
+from besselint.cli import _parser, run
 from besselint.verifier import check_point, default_grid, sweep
 
 
@@ -354,6 +354,50 @@ class TestJsonCsvAgree:
         [header, [cell]] = rows
         assert header == ["crossover"]
         assert (cell == "") if xstar is None else (float(cell) == xstar)
+
+
+def _dumped_members(argv):
+    """The verb's members as one ``json.dumps`` of the whole document."""
+    args = _parser().parse_args(argv)
+    parameters, _, body, _ = args.handler(args)
+    return json.dumps({"command": args.verb, "parameters": parameters, **body()})
+
+
+class TestJsonLayout:
+    """One member per line and one list entry per line, parsing to the same document."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--mu", "0", "--ord", "0", "--gamma", "0.5", "--x", "2"],
+        ["bound", "--bound", "lower3", "--nu", "0.5", "--gamma", "0.9", "--x", "4"],
+        ["check", "--bound", "lower3", "--nu", "0.5", "--gamma", "0.7", "--x", "4"],
+        # an empty skipped list
+        ["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0", "--x", "1,5"],
+        # failed checks: rel_margin NaN and uncertainty inf, written NaN and Infinity
+        ["sweep", "--bounds", "lower2", "--nu", "1,1e200", "--x", "1"],
+        # results are lists of lists
+        ["table", "--bound", "twosided_l", "--nu", "0,1", "--x", "1,10,50"],
+        ["tightness", "--bound", "new1", "--nu", "1", "--x", "25,100,400"],
+        ["crossover", "--mu", "0", "--nu", "0", "--gamma", "0"],
+    ])
+    def test_parses_to_the_dumped_document(self, argv):
+        _, text, _ = invoke(argv + ["--format", "json"])
+        # NaN != NaN, so non-finite constants compare as their JSON tokens
+        assert (json.loads(text, parse_constant=str)
+                == json.loads(_dumped_members(argv), parse_constant=str))
+
+    def test_one_line_per_record(self):
+        _, text, _ = invoke(["sweep", "--bounds", "main,prop1", "--nu", "0", "--gamma", "0",
+                             "--x", "1,5"])
+        doc = json.loads(text)
+        lines = text.splitlines()
+        assert len(doc["results"]) == 2 and len(doc["skipped"]) == 10
+        for key in ("results", "skipped"):
+            start = lines.index(f'"{key}": [') + 1
+            entries = lines[start:start + len(doc[key])]
+            assert [json.loads(line.rstrip(",")) for line in entries] == doc[key]
+            assert lines[start + len(doc[key])] in ("]", "],")
+        # braces, one line per member, the records, and the two closing brackets
+        assert len(lines) == 2 + len(doc) + 12 + 2
 
 
 class TestHugeFiniteInputs:

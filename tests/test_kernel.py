@@ -120,6 +120,13 @@ class TestBesselK:
         with pytest.raises(InvalidDomain):
             besselk(0.5, 0.0)
 
+    @pytest.mark.parametrize("order, x", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.3, math.nan), (0.3, math.inf),
+    ])
+    def test_rejects_non_finite_input(self, order, x):
+        with pytest.raises(InvalidDomain):
+            besselk(order, x)
+
     def test_accuracy_sweep_against_mpmath(self):
         for nu in (0.0, 0.5, 2.0, 9.5):
             for x in (0.01, 1.0, 20.0, 300.0):
@@ -244,6 +251,13 @@ class TestRatio:
             besseli_ratio(0.0, 0.0)
         with pytest.raises(InvalidDomain):
             besseli_ratio(-0.6, 1.0)
+
+    @pytest.mark.parametrize("nu, x", [
+        (0.3, math.inf), (0.3, math.nan), (math.inf, 1.0), (math.nan, 1.0),
+    ])
+    def test_rejects_non_finite_input(self, nu, x):
+        with pytest.raises(InvalidDomain):
+            besseli_ratio(nu, x)
 
 
 class TestAsymptotics:
