@@ -1,12 +1,12 @@
 """Closed-form bounds for the incomplete Bessel integral family.
 
 Every bound in the catalog targets an integral of the form
-``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and is evaluated by one
-function, ``_combination``, as a ``(sign, log)`` float pair: the prefactor
-``e^(-gamma x) x^power`` is a log term and the Bessel combination one
-``math.fsum`` scaled by its largest ``I``, so nothing overflows;
-:func:`bound_value` builds the ScaledValues.  The LOWER1/LOWER3 series is
-summed as floats relative to ``I_{v+1}`` and enters as that single term.
+``integral_0^x e^(-gamma t) t^mu I_ord(t) dt``.  :func:`bound_row` forms a
+(bound, nu, n, mu, gamma) row's x-free coefficients once, and its step at each
+x gives a ``(sign, log)`` pair: the prefactor ``e^(-gamma x) x^power`` is a log
+term and the Bessel combination one ``math.fsum`` scaled by its largest ``I``,
+so nothing overflows.  NEED2's ``2(v+1)/x``, the LOWER2/INTINEQ0 bracket and
+the LOWER1/LOWER3 series (floats relative to ``I_{v+1}``) stay per x.
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -39,8 +39,8 @@ NEED2      upper     ((2(v+1)/x + g) I_{v+1} + g^2 I_{v+2}) e^-gx x^(v+1)/(2v+1)
 DAY        lower     e^-gx x^v I_{v+n+3} for F(v, v+n+2);  n > -3, v > -(n+3)/2
 ========== ========= ============================================================
 
-Every bound also needs ``x > 0`` and ``0 <= g < 1``; ``_Entry.invalid_reason``
-checks those once before the bound's own hypotheses.
+Every bound also needs ``x > 0`` and ``0 <= g < 1``; ``_Entry.reasons``
+checks all but ``x > 0`` once per row, before the bound's own hypotheses.
 
 The truncated series in LOWER1/LOWER3 only ever *under*-estimates (all
 terms are positive), so any truncation level preserves the lower-bound
@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import kernel
 from .errors import InvalidDomain
@@ -72,6 +72,8 @@ __all__ = [
     "c_nu",
     "x_star",
     "bound_value",
+    "bound_row",
+    "check_row",
     "geometric_tail_series",
     "m_value",
     "m_bound_constant",
@@ -118,6 +120,9 @@ class Point:
     x: float = 1.0
 
 
+_ZERO = ScaledValue.zero()
+
+
 @dataclass(frozen=True, slots=True)
 class BoundEval:
     bound: "BoundId"
@@ -125,7 +130,7 @@ class BoundEval:
     value: ScaledValue
     direction: Direction
     truncation_terms: int = 0
-    tail_bound: ScaledValue = ScaledValue.zero()
+    tail_bound: ScaledValue = _ZERO
 
 
 def c_nu(nu: float) -> float:
@@ -206,23 +211,27 @@ def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int
 @dataclass(frozen=True, slots=True)
 class _Entry:
     """One catalog bound: the axes it uses, its own hypotheses (checked after
-    ``x > 0`` and ``0 <= gamma < 1``), its value as ``(sign, log, series terms,
-    tail log)`` (-inf for zero), the integral it bounds and its direction."""
+    ``x > 0`` and ``0 <= gamma < 1``), its row evaluator, the integral it bounds
+    and its direction; all but the integral ignore x.  ``evaluate_row(row)`` is
+    the step ``x -> (sign, log, series terms, tail log)`` (-inf for zero)."""
 
     uses_n: bool
     uses_mu: bool
     hypothesis: Callable[[Point], Optional[str]]
-    evaluate: Callable[[Point], tuple[int, float, int, float]]
+    evaluate_row: Callable[[Point], Callable[[float], tuple[int, float, int, float]]]
     integrand: Callable[[Point], IntegralSpec]
     direction_at: Callable[[Point], Direction]
 
     def invalid_reason(self, p: Point) -> Optional[str]:
         """The first violated hypothesis at ``p``, or None inside the domain."""
-        if not p.x > 0:
-            return f"x > 0 (got x={p.x})"
-        if not 0.0 <= p.gamma < 1.0:
-            return f"0 <= gamma < 1 (got gamma={p.gamma})"
-        return self.hypothesis(p)
+        return next(self.reasons(p, (p.x,)))
+
+    def reasons(self, row: Point, xs: Iterable[float]) -> Iterator[Optional[str]]:
+        """:meth:`invalid_reason` at each x of ``xs`` in ``row``: gamma and the
+        bound's own hypotheses are checked once, ``x > 0`` per x."""
+        ok = 0.0 <= row.gamma < 1.0
+        reason = self.hypothesis(row) if ok else f"0 <= gamma < 1 (got gamma={row.gamma})"
+        return (reason if x > 0 else f"x > 0 (got x={x})" for x in xs)
 
 
 def _upper(p: Point) -> Direction:
@@ -233,29 +242,26 @@ def _lower(p: Point) -> Direction:
     return Direction.LOWER
 
 
-def _prefactor_log(p: Point, power: float) -> float:
-    log = -p.gamma * p.x + power * math.log(p.x)
-    if math.isnan(log) or log == math.inf:  # -inf is an underflow to zero
-        raise InvalidDomain(f"non-finite log magnitude {log!r}")
-    return log
-
-
-def _combination(p: Point, power: float, *terms: tuple[float, float]):
-    """The evaluator tuple of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms``
-    ``(c_i, o_i)``: ``math.fsum`` adds the terms relative to the largest ``I_i``
-    with ``c_i != 0``.  A log or a coefficient that is not finite raises the
+def _combination(gamma: float, power: float, *terms: tuple[float, float]):
+    """The step of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms`` ``(c_i, o_i)``:
+    ``math.fsum`` adds the terms relative to the largest ``I_i`` with
+    ``c_i != 0``.  A log or a coefficient that is not finite raises the
     :class:`InvalidDomain` that a ScaledValue made from it would."""
-    pre = _prefactor_log(p, power)
-    scaled = []
-    for c, order in terms:
-        if not math.isfinite(c):
-            raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
-        if c and (i := kernel.besseli(order, p.x)).sign:
-            scaled.append((c * i.sign, i.log_abs))
-    top = max([log for _, log in scaled], default=0.0)
-    total = math.fsum([c * math.exp(log - top) for c, log in scaled])
-    sign = (total > 0) - (total < 0)
-    return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, -math.inf
+    def step(x: float):
+        pre = -gamma * x + power * math.log(x)
+        if math.isnan(pre) or pre == math.inf:  # -inf is an underflow to zero
+            raise InvalidDomain(f"non-finite log magnitude {pre!r}")
+        scaled = []
+        for c, order in terms:
+            if not math.isfinite(c):
+                raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
+            if c and (i := kernel.besseli(order, x)).sign:
+                scaled.append((c * i.sign, i.log_abs))
+        top = max([log for _, log in scaled], default=0.0)
+        total = math.fsum([c * math.exp(log - top) for c, log in scaled])
+        sign = (total > 0) - (total < 0)
+        return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, -math.inf
+    return step
 
 
 def _family_nu_nu(p: Point) -> IntegralSpec:
@@ -275,14 +281,15 @@ def _nu_gt(threshold: float):
 # -- constant-times-I bounds for F(nu, nu) ------------------------------
 
 def _const_times_i(num: Callable[[float], float]):
-    """Evaluator of ``num(nu)/((2 nu+1)(1-g)) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
+    """Row evaluator of ``num(nu)/((2 nu+1)(1-g)) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
     return lambda p: _combination(
-        p, p.nu, (num(p.nu) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)), p.nu + 1.0))
+        p.gamma, p.nu, (num(p.nu) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)), p.nu + 1.0))
 
 
 def _v_baaad(p: Point):
     d = (2.0 * p.nu + 1.0) * (1.0 - p.gamma)
-    return _combination(p, p.nu, (2.0 * (p.nu + 1.0) / d, p.nu + 1.0), (-1.0 / d, p.nu + 3.0))
+    return _combination(p.gamma, p.nu, (2.0 * (p.nu + 1.0) / d, p.nu + 1.0),
+                        (-1.0 / d, p.nu + 3.0))
 
 
 def _ok_halfplus(p: Point) -> Optional[str]:
@@ -321,14 +328,14 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
 
 def _v_new1(p: Point):
     a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
-    return _combination(p, p.nu, (2.0 * a / s / (1.0 - p.gamma), p.nu + p.n + 1.0),
+    return _combination(p.gamma, p.nu, (2.0 * a / s / (1.0 - p.gamma), p.nu + p.n + 1.0),
                         (-(p.n + 1.0) / s / (1.0 - p.gamma), p.nu + p.n + 3.0))
 
 
 def _v_lower4(p: Point):
     a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
     s3 = 2.0 * p.nu + p.n + 3.0
-    return _combination(p, p.nu, (2.0 * a / s, p.nu + p.n + 1.0),
+    return _combination(p.gamma, p.nu, (2.0 * a / s, p.nu + p.n + 1.0),
                         (-2.0 * (p.n + 1.0) * (p.nu + p.n + 3.0) / s3 / s, p.nu + p.n + 3.0),
                         ((p.n + 1.0) * (p.n + 3.0) / s3 / s, p.nu + p.n + 5.0))
 
@@ -343,13 +350,15 @@ def _ok_gamma_zero(p: Point) -> Optional[str]:
 # -- series lower bounds -------------------------------------------------
 
 def _geometric(power_offset: float):
-    """Evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
-    def evaluate(p: Point):
-        total, terms, tail = geometric_tail_series(p.nu, p.gamma, p.x)
-        sign, log, _, _ = _combination(p, p.nu + power_offset, (total, p.nu + 1.0))
-        share = tail / total
-        return sign, log, terms, log + math.log(share) if share else -math.inf
-    return evaluate
+    """Row evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
+    def evaluate_row(p: Point):
+        def step(x: float):
+            total, terms, tail = geometric_tail_series(p.nu, p.gamma, x)
+            sign, log, _, _ = _combination(p.gamma, p.nu + power_offset, (total, p.nu + 1.0))(x)
+            share = tail / total
+            return sign, log, terms, log + math.log(share) if share else -math.inf
+        return step
+    return evaluate_row
 
 
 def _lower1_direction(p: Point) -> Direction:
@@ -361,9 +370,9 @@ def _lower1_direction(p: Point) -> Direction:
 # -- reciprocal-x corrected lower bounds ---------------------------------
 
 def _v_lower2_like(p: Point):
-    bracket = 1.0 - (2.0 * p.nu * (2.0 * p.nu + c_nu(p.nu - 1.0))
-                     / ((2.0 * p.nu - 1.0) * (1.0 - p.gamma) * p.x))
-    return _combination(p, p.nu, (bracket / (1.0 - p.gamma), p.nu))
+    num, den = 2.0 * p.nu * (2.0 * p.nu + c_nu(p.nu - 1.0)), (2.0 * p.nu - 1.0) * (1.0 - p.gamma)
+    return lambda x: _combination(  # the bracket is 1 - num/(den x)
+        p.gamma, p.nu, ((1.0 - num / (den * x)) / (1.0 - p.gamma), p.nu))(x)
 
 
 # -- remaining individual bounds -----------------------------------------
@@ -379,13 +388,14 @@ def _ok_prop1(p: Point) -> Optional[str]:
 def _v_prop1(p: Point):
     if p.mu is None:
         raise InvalidDomain("PROP1 needs mu")
-    return _combination(p, p.mu, (1.0 / (1.0 - p.gamma), p.nu))
+    return _combination(p.gamma, p.mu, (1.0 / (1.0 - p.gamma), p.nu))
 
 
 def _v_need2(p: Point):
     d = 2.0 * p.nu + 1.0
-    return _combination(p, p.nu + 1.0, ((2.0 * (p.nu + 1.0) / p.x + p.gamma) / d, p.nu + 1.0),
-                        (p.gamma * p.gamma / d, p.nu + 2.0))
+    a, g2 = 2.0 * (p.nu + 1.0), p.gamma * p.gamma / d
+    return lambda x: _combination(
+        p.gamma, p.nu + 1.0, ((a / x + p.gamma) / d, p.nu + 1.0), (g2, p.nu + 2.0))(x)
 
 
 def _ok_day(p: Point) -> Optional[str]:
@@ -397,7 +407,7 @@ def _ok_day(p: Point) -> Optional[str]:
 
 
 def _v_day(p: Point):
-    return _combination(p, p.nu, (1.0, p.nu + p.n + 3.0))
+    return _combination(p.gamma, p.nu, (1.0, p.nu + p.n + 3.0))
 
 
 _NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _v_new1, _family_nu_nun,
@@ -436,31 +446,49 @@ CATALOG: dict[BoundId, _Entry] = {
 }
 
 
+def check_row(id: BoundId, row: Point, xs: Iterable[float]) -> None:
+    """Raise InvalidDomain at the first x of ``xs`` outside ``id``'s hypotheses at ``row``."""
+    for reason in CATALOG[id].reasons(row, xs):
+        if reason is not None:
+            raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
+
+
+def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
+    """``id`` unchecked at each x of the (nu, n, mu, gamma) row ``row``: direction
+    and coefficients are formed once (at the first x, so a row that raises does
+    so at every x), and a division by zero raises InvalidDomain."""
+    entry, evaluate = CATALOG[id], None
+    direction = entry.direction_at(row)
+
+    def at(x: float) -> BoundEval:
+        nonlocal evaluate
+        try:
+            evaluate = evaluate or entry.evaluate_row(row)
+            sign, log, terms, tail_log = evaluate(x)
+        except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
+            raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None
+        value = ScaledValue(sign, log) if sign and log > -math.inf else _ZERO
+        tail = ScaledValue(1, tail_log) if tail_log > -math.inf else _ZERO
+        # bound_value's step is at the row's own x, so it needs no second Point
+        point = row if x is row.x else Point(row.nu, row.n, row.mu, row.gamma, x)
+        return BoundEval(id, point, value, direction, terms, tail)
+    return at
+
+
 def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = None,
                 gamma: float = 0.0, x: float = 1.0,
                 check_domain: bool = True) -> BoundEval:
-    """Evaluate one catalog bound at a parameter point.
+    """Evaluate one catalog bound at a parameter point (a :func:`bound_row` step).
 
     ``check_domain=False`` skips the hypothesis check (exploratory mode,
     e.g. probing PROP1 beyond its validity); the formula itself must still
     be computable there.  A closed form that divides by zero raises
     :class:`InvalidDomain` naming the bound.
     """
-    entry = CATALOG[id]
-    point = Point(nu=nu, n=n, mu=mu, gamma=gamma, x=x)
+    point = Point(nu, n, mu, gamma, x)
     if check_domain:
-        reason = entry.invalid_reason(point)
-        if reason is not None:
-            raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
-    try:
-        sign, log, terms, tail_log = entry.evaluate(point)
-    except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
-        raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None
-    zero = ScaledValue.zero()
-    return BoundEval(bound=id, point=point,
-                     value=ScaledValue(sign, log) if sign and log > -math.inf else zero,
-                     direction=entry.direction_at(point), truncation_terms=terms,
-                     tail_bound=ScaledValue(1, tail_log) if tail_log > -math.inf else zero)
+        check_row(id, point, (x,))
+    return bound_row(id, point)(x)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ list entry per line, so both ``json.load`` and line tools read it.
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
 the JSON members on call, and each CSV row is one of ``records`` flattened,
-under a header taken from the first.  :func:`run` is the only place that
-writes output.
+under a header taken from the first; ``sweep`` hands its records over as
+iterators, so each is made as it is written.  :func:`run` is the only place
+that writes output.
 
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
 VIOLATED, 2 usage error, 3 numerical failure.
@@ -25,6 +26,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from typing import Optional
 
 from .bounds import BoundId, Point, bound_value
@@ -33,6 +35,7 @@ from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral, check_tol
 from .verifier import (
     CheckReport,
     Grid,
+    SkippedPoint,
     Verdict,
     check_point,
     default_grid,
@@ -206,14 +209,15 @@ def _csv_row(record: dict) -> list:
 
 
 def _write_json(out, members: dict) -> None:
-    """``members`` one per line, a non-empty list one entry per line, each line one
-    ``json.dumps`` (CPython's C encoder, which ``indent`` turns off), none joined."""
+    """``members`` one per line, a non-empty list or iterator one entry per line, each
+    line one ``json.dumps`` (CPython's C encoder, which ``indent`` turns off), none joined."""
     for i, (key, value) in enumerate(members.items()):
         out.write(f"{',' if i else '{'}\n{json.dumps(key)}: ")
-        if type(value) is list and value:
-            out.writelines(f"{',' if j else '['}\n{json.dumps(item)}"
-                           for j, item in enumerate(value))
-            out.write("\n]")
+        if isinstance(value, (list, Iterator)):
+            j = 0
+            for j, item in enumerate(value, 1):
+                out.write(f"{',' if j > 1 else '['}\n{json.dumps(item)}")
+            out.write("\n]" if j else "[]")
         else:
             out.write(json.dumps(value))
     out.write("\n}\n")
@@ -316,7 +320,9 @@ def _sweep(args):
          "x": list(grid.x_values), "n": list(grid.n_values),
          "mu": list(grid.mu_values), "tol": args.tol},
         map(CheckReport.to_dict, result.reports),
-        result.to_dict,
+        lambda: {"results": map(CheckReport.to_dict, result.reports),
+                 "skipped": map(SkippedPoint.to_dict, result.skipped),
+                 "summary": dict(result.counts)},
         EXIT_VIOLATED if result.counts["violated"] else EXIT_OK,
     )
 

@@ -125,21 +125,21 @@ def power_series_sum(order: float, x2_4: float, factors):
     Returns ``(sum, sum of |T_k|, certified tail, frame exponent, terms)``:
     the first three are in units of ``T_0 * 2^frame_exponent``.
     """
-    t = s = a = 1.0
+    t = s = a = abs_t = 1.0
     shift = 0
     for k, ratio in enumerate(factors):
         c = order + k + 1.0
         q = x2_4 / ((k + 1) * c)
         if c > 0.0 and q < 1.0:
-            tail = abs(t) * q / (1.0 - q)
+            tail = abs_t * q / (1.0 - q)
             if tail <= _U * abs(s):
                 return s, a, tail, shift, k + 1
         t *= q * ratio
         s += t
-        a += abs(t)
-        if abs(t) > _FRAME_MAX:
+        a += (abs_t := abs(t))
+        if abs_t > _FRAME_MAX:
             t, e = math.frexp(t)
-            s, a, shift = math.ldexp(s, -e), math.ldexp(a, -e), shift + e
+            s, a, shift, abs_t = math.ldexp(s, -e), math.ldexp(a, -e), shift + e, abs(t)
     return None
 
 

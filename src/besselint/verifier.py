@@ -8,13 +8,14 @@ a-priori error bound + the bound's series tail + a small kernel floor + the
 rounding of both logs): a strict inequality can never be certified at an
 equality point, so a margin inside the band is neither pass nor failure.
 
-Sweeps evaluate each integral and its relative error once, keyed by its
-:class:`IntegralSpec`: checks that share an integral share its oracle result,
-and an integral whose series fails turns only its own checks INCONCLUSIVE.
+Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
+and its relative error once: checks that share an integral share its oracle
+result, and an integral whose series fails turns only its checks INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,9 @@ from .bounds import (
     BoundId,
     Direction,
     Point,
+    bound_row,
     bound_value,
+    check_row,
 )
 from .errors import BesselIntError, InvalidDomain, NotFound
 from .oracle import (
@@ -113,13 +116,6 @@ class SweepResult:
     reports: list[CheckReport]
     skipped: list[SkippedPoint]
     counts: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "results": [r.to_dict() for r in self.reports],
-            "skipped": [s.to_dict() for s in self.skipped],
-            "summary": dict(self.counts),
-        }
 
 
 def _oracle_tol(tol: float) -> float:
@@ -223,73 +219,69 @@ def default_grid() -> Grid:
     )
 
 
-def _integral_or_error(spec: IntegralSpec, tol: float) -> tuple[QuadResult, float] | BesselIntError:
+def _oracle_row(mu: float, ordv: float, gamma: float, xs: list[float], tol: float) -> dict:
+    """Each x's integral and relative error, or the error that stands in for it:
+    one oracle call per row, where the benchmark tracer counts rows, and on
+    failure one per x, so that an error stands in only for its own integral."""
     try:
-        result = bessel_integral(spec, tol)
-    except BesselIntError as exc:
-        return exc
-    return result, result.rel_err()
+        results: list = cumulative_bessel_integral(mu, ordv, gamma, xs, tol)
+    except BesselIntError:
+        results = []
+        for x in xs:
+            try:
+                results.append(bessel_integral(IntegralSpec(mu, ordv, gamma, x), tol))
+            except BesselIntError as exc:
+                results.append(exc)
+    return {x: r if isinstance(r, BesselIntError) else (r, r.rel_err())
+            for x, r in zip(xs, results)}
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
-    """Check every bound at every valid grid point.
+    """Check every bound at every valid grid point, a row at a time.
 
-    Out-of-domain points are skipped and recorded with the violated
-    hypothesis; evaluation errors become INCONCLUSIVE reports with the
-    failure reason.  That includes an integral the oracle cannot sum (for
-    example one that needs more series terms than the oracle allows): the
-    checks that need it are INCONCLUSIVE with its error, and every other
-    check, on the same ``(mu, ord, gamma)`` row too, goes on as usual.
-    Output is in canonical order as built, whatever the order of ``ids`` or of
-    the axes: bounds by id value, then the product of the sorted axes.
+    Out-of-domain points are skipped and recorded with the violated hypothesis,
+    checked once per row and ``x > 0`` per x; evaluation errors become
+    INCONCLUSIVE reports with the failure reason.  That includes an integral
+    the oracle cannot sum (for example one that needs more series terms than
+    the oracle allows): the checks that need it are INCONCLUSIVE with its
+    error, and every other check, on the same ``(mu, ord, gamma)`` row too,
+    goes on as usual.  Output order is canonical whatever the order of ``ids``
+    or of the axes: bounds by id value, then the product of the sorted axes.
     """
     check_tol(tol)
     oracle_tol = _oracle_tol(tol)
-    tasks: list[tuple[BoundId, Point, IntegralSpec]] = []
+    xs = sorted(grid.x_values)
+    limits = list(dict.fromkeys(x for x in xs if x > 0))  # every oracle row's, each x once
+    oracle_row = functools.cache(lambda *key: _oracle_row(*key, limits, oracle_tol))
+    reports: list[CheckReport] = []
     skipped: list[SkippedPoint] = []
-    # each distinct integral, in its (mu, ord, gamma) row; tasks share its object
-    rows: dict[tuple[float, float, float], dict[IntegralSpec, IntegralSpec]] = {}
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
         axes = (sorted(grid.nu_values), sorted(grid.n_values) if entry.uses_n else [0.0],
                 sorted(grid.mu_values) if entry.uses_mu else [None],
-                sorted(grid.gamma_values), sorted(grid.x_values))
-        for point in itertools.starmap(Point, itertools.product(*axes)):  # nu, n, mu, gamma, x
-            reason = entry.invalid_reason(point)
-            if reason is not None:
-                skipped.append(SkippedPoint(bid, point, reason))
-            else:
-                spec = entry.integrand(point)
-                row = rows.setdefault((spec.mu, spec.ord, spec.gamma), {})
-                tasks.append((bid, point, row.setdefault(spec, spec)))
-
-    # one oracle call per (mu, ord, gamma) row, where the benchmark tracer
-    # counts rows; a failed row falls back to its points one by one, so that
-    # an error stands in only for the integral that raised it
-    oracle_results: dict[IntegralSpec, tuple[QuadResult, float] | BesselIntError] = {}
-    for (mu, ordv, gamma), row in rows.items():
-        try:
-            results = [(r, r.rel_err()) for r in cumulative_bessel_integral(
-                mu, ordv, gamma, [s.x for s in row], oracle_tol)]
-        except BesselIntError:
-            results = [_integral_or_error(s, oracle_tol) for s in row]
-        oracle_results.update(zip(row, results))
-
-    reports: list[CheckReport] = []
-    counts = {"holds": 0, "violated": 0, "inconclusive": 0}
-    for bid, point, spec in tasks:
-        oracle = oracle_results[spec]
-        if isinstance(oracle, BesselIntError):
-            report = _failed_report(bid, point, oracle)
-        else:
-            try:
-                ev = bound_value(bid, nu=point.nu, n=point.n, mu=point.mu,
-                                 gamma=point.gamma, x=point.x, check_domain=False)
-                report = _report_from_values(ev, *oracle, tol)
-            except BesselIntError as exc:
-                report = _failed_report(bid, point, exc)
-        reports.append(report)
-        counts[report.verdict.value] += 1
+                sorted(grid.gamma_values))
+        for row in itertools.starmap(Point, itertools.product(*axes)):
+            valid = []
+            for x, reason in zip(xs, entry.reasons(row, xs)):
+                if reason is None:
+                    valid.append(x)
+                else:
+                    skipped.append(SkippedPoint(bid, Point(row.nu, row.n, row.mu, row.gamma, x),
+                                                reason))
+            if not valid:
+                continue
+            spec, bound_at = entry.integrand(row), bound_row(bid, row)
+            results = oracle_row(spec.mu, spec.ord, spec.gamma)
+            for x in valid:
+                if not isinstance(result := results[x], BesselIntError):
+                    try:
+                        reports.append(_report_from_values(bound_at(x), *result, tol))
+                        continue
+                    except BesselIntError as exc:
+                        result = exc
+                reports.append(_failed_report(
+                    bid, Point(row.nu, row.n, row.mu, row.gamma, x), result))
+    counts = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
     return SweepResult(reports=reports, skipped=skipped, counts=counts)
 
 
@@ -333,9 +325,8 @@ def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float]) ->
 
     The caller asserts the monotone approach to 1 in the claimed limit.
     """
-    # bound_value checks every point's hypotheses before any oracle work
-    evals = [bound_value(id, nu=template.nu, n=template.n, mu=template.mu,
-                         gamma=template.gamma, x=x) for x in x_sequence]
+    check_row(id, template, x_sequence)  # every x, before any oracle work
+    evals = list(map(bound_row(id, template), x_sequence))
     spec = CATALOG[id].integrand(template)  # every point shares it up to x
     oracle = cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, list(x_sequence))
     return [(ev.value / qr.value).to_float() for ev, qr in zip(evals, oracle)]

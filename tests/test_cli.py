@@ -7,13 +7,16 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Iterator
 from dataclasses import replace
 
 import pytest
 
+from besselint import cli
 from besselint.bounds import BoundId, Point
 from besselint.cli import _parser, run
-from besselint.verifier import check_point, default_grid, sweep
+from besselint.verifier import check_point, default_grid, logspace, sweep
 
 
 def invoke(argv):
@@ -357,10 +360,13 @@ class TestJsonCsvAgree:
 
 
 def _dumped_members(argv):
-    """The verb's members as one ``json.dumps`` of the whole document."""
+    """The verb's members as one ``json.dumps`` of the whole document, with the
+    iterators that ``body()`` may return listed first."""
     args = _parser().parse_args(argv)
     parameters, _, body, _ = args.handler(args)
-    return json.dumps({"command": args.verb, "parameters": parameters, **body()})
+    members = {key: list(value) if isinstance(value, Iterator) else value
+               for key, value in body().items()}
+    return json.dumps({"command": args.verb, "parameters": parameters, **members})
 
 
 class TestJsonLayout:
@@ -398,6 +404,44 @@ class TestJsonLayout:
             assert lines[start + len(doc[key])] in ("]", "],")
         # braces, one line per member, the records, and the two closing brackets
         assert len(lines) == 2 + len(doc) + 12 + 2
+
+
+class _Discard:
+    """A text sink that keeps nothing, so only the writer's own memory is traced."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+class TestStreamedSweep:
+    def test_records_are_made_as_they_are_written(self, monkeypatch):
+        # the sweep runs first, so that only the emission is traced: a writer
+        # that held every record dict at once would peak above their size
+        argv = ["sweep", "--bounds", "all", "--nu", "0,1,2.5", "--gamma", "0,0.5",
+                "--x-logspace", "1e-3,200,8"]
+        grid = replace(default_grid(), nu_values=(0.0, 1.0, 2.5), gamma_values=(0.0, 0.5),
+                       x_values=tuple(logspace(1e-3, 200.0, 8)))
+        result = sweep(list(BoundId), grid)
+        assert len(result.reports) > 1000 and len(result.skipped) > 400
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: result)
+
+        tracemalloc.start()
+        try:
+            records = ([r.to_dict() for r in result.reports],
+                       [s.to_dict() for s in result.skipped])
+            materialised, _ = tracemalloc.get_traced_memory()
+            del records
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            assert run(argv + ["--format", "json"], out=_Discard()) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < materialised / 4, (peak - base, materialised)
 
 
 class TestHugeFiniteInputs:
