@@ -41,13 +41,15 @@ DAY        lower     e^-gx x^v I_{v+n+3} for F(v, v+n+2);  n > -3, v > -(n+3)/2
 
 Every bound also needs ``x > 0`` and ``0 <= g < 1``; ``_Entry.reasons``
 checks all but ``x > 0`` once per row, before the bound's own hypotheses.
+Only ``x > 0``, the domain of the integral, is checked at every step, even
+an unchecked :func:`bound_row` one.
 
 The truncated series in LOWER1/LOWER3 only ever *under*-estimates (all
 terms are positive), so any truncation level preserves the lower-bound
-direction; the reported tail bound certifies how much is missing.  It is
-a ratio certificate: the factor between successive terms,
-``gamma I_{v+k+1}/I_{v+k}``, decreases along the series, so the tail is at
-most the last term times ``q/(1-q)`` with ``q`` the next factor (see
+direction; the reported tail share (certified tail over the sum) says how
+much is missing.  It is a ratio certificate: the factor between successive
+terms, ``gamma I_{v+k+1}/I_{v+k}``, decreases along the series, so the tail
+is at most the last term times ``q/(1-q)`` with ``q`` the next factor (see
 :func:`geometric_tail_series`).
 """
 
@@ -125,12 +127,15 @@ _ZERO = ScaledValue.zero()
 
 @dataclass(frozen=True, slots=True)
 class BoundEval:
+    """A bound's value at a point; ``tail_share`` is the certified share of the
+    value that a truncated series leaves out (0.0 for a closed form)."""
+
     bound: "BoundId"
     point: Point
     value: ScaledValue
     direction: Direction
     truncation_terms: int = 0
-    tail_bound: ScaledValue = _ZERO
+    tail_share: float = 0.0
 
 
 def c_nu(nu: float) -> float:
@@ -213,7 +218,7 @@ class _Entry:
     """One catalog bound: the axes it uses, its own hypotheses (checked after
     ``x > 0`` and ``0 <= gamma < 1``), its row evaluator, the integral it bounds
     and its direction; all but the integral ignore x.  ``evaluate_row(row)`` is
-    the step ``x -> (sign, log, series terms, tail log)`` (-inf for zero)."""
+    the step ``x -> (sign, log, series terms, tail share)`` (log -inf for zero)."""
 
     uses_n: bool
     uses_mu: bool
@@ -260,7 +265,7 @@ def _combination(gamma: float, power: float, *terms: tuple[float, float]):
         top = max([log for _, log in scaled], default=0.0)
         total = math.fsum([c * math.exp(log - top) for c, log in scaled])
         sign = (total > 0) - (total < 0)
-        return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, -math.inf
+        return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, 0.0
     return step
 
 
@@ -355,8 +360,7 @@ def _geometric(power_offset: float):
         def step(x: float):
             total, terms, tail = geometric_tail_series(p.nu, p.gamma, x)
             sign, log, _, _ = _combination(p.gamma, p.nu + power_offset, (total, p.nu + 1.0))(x)
-            share = tail / total
-            return sign, log, terms, log + math.log(share) if share else -math.inf
+            return sign, log, terms, tail / total
         return step
     return evaluate_row
 
@@ -437,8 +441,7 @@ CATALOG: dict[BoundId, _Entry] = {
     BoundId.LOWER2: _Entry(False, False, _nu_gt(0.5), _v_lower2_like, _family_nu_nu, _lower),
     BoundId.PROP1: _Entry(
         False, True, _ok_prop1, _v_prop1,
-        lambda p: IntegralSpec(p.mu if p.mu is not None else p.nu, p.nu, p.gamma, p.x),
-        _upper),
+        lambda p: IntegralSpec(p.mu, p.nu, p.gamma, p.x), _upper),
     BoundId.NEED2: _Entry(False, False, _nu_gt(-0.5), _v_need2, _family_nu_nu, _upper),
     BoundId.DAY: _Entry(
         True, False, _ok_day, _v_day,
@@ -454,40 +457,36 @@ def check_row(id: BoundId, row: Point, xs: Iterable[float]) -> None:
 
 
 def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
-    """``id`` unchecked at each x of the (nu, n, mu, gamma) row ``row``: direction
-    and coefficients are formed once (at the first x, so a row that raises does
-    so at every x), and a division by zero raises InvalidDomain."""
+    """``id`` at each x of the (nu, n, mu, gamma) row ``row``, without its
+    hypotheses (exploratory mode, e.g. probing PROP1 beyond its validity; see
+    :func:`check_row`): direction and coefficients are formed once (at the
+    first x, so a row that raises does so at every x).  ``x <= 0``, outside the
+    integral's domain, and a division by zero raise InvalidDomain naming ``id``."""
     entry, evaluate = CATALOG[id], None
     direction = entry.direction_at(row)
 
     def at(x: float) -> BoundEval:
         nonlocal evaluate
+        if not x > 0:
+            raise InvalidDomain(f"{id.value}: the integral needs x > 0 (got x={x})")
         try:
             evaluate = evaluate or entry.evaluate_row(row)
-            sign, log, terms, tail_log = evaluate(x)
+            sign, log, terms, share = evaluate(x)
         except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
             raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None
         value = ScaledValue(sign, log) if sign and log > -math.inf else _ZERO
-        tail = ScaledValue(1, tail_log) if tail_log > -math.inf else _ZERO
         # bound_value's step is at the row's own x, so it needs no second Point
         point = row if x is row.x else Point(row.nu, row.n, row.mu, row.gamma, x)
-        return BoundEval(id, point, value, direction, terms, tail)
+        return BoundEval(id, point, value, direction, terms, share)
     return at
 
 
 def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = None,
-                gamma: float = 0.0, x: float = 1.0,
-                check_domain: bool = True) -> BoundEval:
-    """Evaluate one catalog bound at a parameter point (a :func:`bound_row` step).
-
-    ``check_domain=False`` skips the hypothesis check (exploratory mode,
-    e.g. probing PROP1 beyond its validity); the formula itself must still
-    be computable there.  A closed form that divides by zero raises
-    :class:`InvalidDomain` naming the bound.
-    """
+                gamma: float = 0.0, x: float = 1.0) -> BoundEval:
+    """One catalog bound at a parameter point inside its hypotheses: :func:`check_row`,
+    then a :func:`bound_row` step.  Violated hypotheses raise :class:`InvalidDomain`."""
     point = Point(nu, n, mu, gamma, x)
-    if check_domain:
-        check_row(id, point, (x,))
+    check_row(id, point, (x,))
     return bound_row(id, point)(x)
 
 

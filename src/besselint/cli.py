@@ -154,7 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     add_point(p)
     p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--exploratory", action="store_true",
-                   help="skip the hypothesis check and probe anyway")
+                   help="skip the bound's hypotheses, all but x > 0, and probe anyway")
     add_common(p, _check, tol=True)
 
     p = sub.add_parser("sweep", help="certification sweep over a parameter grid")
@@ -190,8 +190,7 @@ def _parser() -> argparse.ArgumentParser:
 
 #: CSV column prefix of each nested record member; ``point`` fields keep
 #: their own names, and any other member is its own prefix
-_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_",
-           "abs_err": "err_", "tail_bound": "tail_"}
+_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_", "abs_err": "err_"}
 
 
 def _columns(record: dict) -> list[str]:
@@ -280,8 +279,7 @@ def _bound(args):
     ev = bound_value(args.bound, nu=args.nu, n=args.n, mu=args.mu,
                      gamma=args.gamma, x=args.x)
     records = [{"value": ev.value.to_dict(), "direction": ev.direction.value,
-                "truncation_terms": ev.truncation_terms,
-                "tail_bound": ev.tail_bound.to_dict()}]
+                "truncation_terms": ev.truncation_terms, "tail_share": ev.tail_share}]
     return (
         {"bound": args.bound.value, "nu": args.nu, "n": args.n, "mu": args.mu,
          "gamma": args.gamma, "x": args.x},

@@ -102,9 +102,6 @@ class ScaledValue:
     def __neg__(self) -> "ScaledValue":
         return ScaledValue(-self.sign, self.log_abs)
 
-    def __abs__(self) -> "ScaledValue":
-        return ScaledValue(abs(self.sign), self.log_abs) if self.sign else self
-
     def __mul__(self, other):
         other = _coerce(other)
         s = self.sign * other.sign

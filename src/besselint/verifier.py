@@ -142,9 +142,7 @@ def _report_from_values(ev: BoundEval, oracle: QuadResult, oracle_rel_err: float
     # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
     rounding = 2.0 ** -53 * (abs(ev.value.log_abs) + abs(oracle.value.log_abs))
     unc = (oracle_rel_err + KERNEL_UNCERTAINTY
-           + (math.expm1(rounding) if rounding < 709.0 else math.inf))
-    if ev.tail_bound.sign and ev.value.sign:
-        unc += exp_float(1, ev.tail_bound.log_abs - ev.value.log_abs)
+           + (math.expm1(rounding) if rounding < 709.0 else math.inf) + ev.tail_share)
     if not oracle.converged:
         unc = max(unc, tol)
     if margin > unc:
@@ -176,13 +174,14 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
                 exploratory: bool = False) -> CheckReport:
     """Verdict for one bound at one point; oracle runs at tol/10.
 
-    ``exploratory=True`` skips the hypothesis check so that a bound can be
-    probed outside its validity domain (e.g. PROP1 with mu < 1/2, which is
-    expected to flip at large x).
+    ``exploratory=True`` evaluates the unchecked :func:`bound_row` step, so
+    that a bound can be probed outside its hypotheses (e.g. PROP1 with
+    mu < 1/2, which is expected to flip at large x); ``x <= 0`` still raises
+    :class:`InvalidDomain`.
     """
     check_tol(tol)
-    ev = bound_value(id, nu=point.nu, n=point.n, mu=point.mu,
-                     gamma=point.gamma, x=point.x, check_domain=not exploratory)
+    ev = (bound_row(id, point)(point.x) if exploratory else
+          bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x))
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
     return _report_from_values(ev, oracle, oracle.rel_err(), tol)
 
@@ -340,7 +339,7 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
     large enough x; if none is found below ``x_max``, :class:`NotFound`
     reports the range searched.  Bisection refines the bracket to relative
     width 1e-6.  The comparison term is the PROP1 bound, evaluated outside
-    its hypotheses where needed.
+    its hypotheses where needed (one unchecked :func:`bound_row`).
     """
     if not mu + nu > -1.0:
         raise InvalidDomain(f"needs mu + nu > -1, got {mu + nu}")
@@ -350,12 +349,10 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
         raise InvalidDomain(f"needs x_max/10 > 0, got x_max={x_max}")
     if mu >= nu >= 0.5:
         return None
+    prop1 = bound_row(BoundId.PROP1, Point(nu, mu=mu, gamma=gamma))
 
     def defect_sign(x: float) -> int:
-        f = bessel_integral(IntegralSpec(mu, nu, gamma, x)).value
-        comp = bound_value(BoundId.PROP1, nu=nu, mu=mu, gamma=gamma, x=x,
-                           check_domain=False).value
-        return (f - comp).sign
+        return (bessel_integral(IntegralSpec(mu, nu, gamma, x)).value - prop1(x).value).sign
 
     a = min(0.1, x_max / 10.0)
     s_a = defect_sign(a)

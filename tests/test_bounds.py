@@ -11,6 +11,7 @@ from besselint.bounds import (
     BoundId,
     Direction,
     Point,
+    bound_row,
     bound_value,
     c_nu,
     geometric_tail_series,
@@ -161,7 +162,7 @@ class TestBoundValues:
                     a = bound_value(alias, nu=nu, n=n, gamma=0.0, x=x)
                     b = bound_value(base, nu=nu, n=n, gamma=0.0, x=x)
                     case = (nu, n, x)
-                    assert a.value == b.value and a.tail_bound == b.tail_bound, case
+                    assert a.value == b.value and a.tail_share == b.tail_share, case
                     assert a.direction is b.direction, case
                     assert a.truncation_terms == b.truncation_terms, case
                     assert CATALOG[alias].integrand(point) == CATALOG[base].integrand(point)
@@ -178,9 +179,15 @@ class TestBoundValues:
             bound_value(BoundId.MAIN, nu=-0.5, gamma=0.0, x=1.0)
 
     def test_exploratory_evaluation_skips_domain(self):
-        ev = bound_value(BoundId.PROP1, nu=0.0, mu=0.0, gamma=0.0, x=10.0,
-                         check_domain=False)
+        ev = bound_row(BoundId.PROP1, Point(nu=0.0, mu=0.0, gamma=0.0, x=10.0))(10.0)
         assert ev.value.sign == 1
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    @pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
+    def test_unchecked_step_rejects_x_not_positive(self, bid, x):
+        # the hypotheses are skipped, the domain of the integral is not
+        with pytest.raises(InvalidDomain, match=f"^{bid.value}: the integral needs x > 0"):
+            bound_row(bid, Point(nu=1.0, mu=1.0, x=x))(x)
 
     @pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
     def test_exploratory_evaluation_fails_only_with_package_errors(self, bid):
@@ -190,8 +197,7 @@ class TestBoundValues:
                 (-1.0, -0.5, 0.0, 0.5, 1.0), (-3.0, -1.0, 0.0), (None, 0.5),
                 (0.0, 0.5, 1.0), (1e-3, 1.0, 50.0)):
             try:
-                ev = bound_value(bid, nu=nu, n=n, mu=mu, gamma=gamma, x=x,
-                                 check_domain=False)
+                ev = bound_row(bid, Point(nu, n, mu, gamma, x))(x)
             except BesselIntError:
                 continue
             assert isinstance(ev, BoundEval), (nu, n, mu, gamma, x)
@@ -214,8 +220,7 @@ class TestOrderings:
         for nu in (0.0, 0.5, 1.0, 2.5, 10.0):
             for g in self.GAMMAS:
                 a = bound_value(BoundId.MAIN, nu=nu, gamma=g, x=5.0).value
-                b = bound_value(BoundId.GAU1, nu=nu, gamma=g, x=5.0,
-                                check_domain=False).value
+                b = bound_row(BoundId.GAU1, Point(nu=nu, gamma=g, x=5.0))(5.0).value
                 assert a.rel_gap(b) < 1e-15
 
     def test_baaad_below_gau1(self):

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 from besselint import cli
-from besselint.bounds import BoundId, Point
+from besselint.bounds import BoundId, Point, geometric_tail_series
 from besselint.cli import _parser, run
 from besselint.verifier import check_point, default_grid, logspace, sweep
 
@@ -56,6 +56,17 @@ class TestEval:
         fields = dict(zip(header.split(","), row.split(",")))
         # 17 significant digits reproduce the double exactly
         assert float(fields["value_decimal"]) == math.exp(float(fields["value_log_abs"]))
+
+
+class TestBound:
+    def test_tail_share_below_the_log_resolution(self):
+        # log(value) is about -6.9e302, on a grid far coarser than a 1e-301 share
+        code, text, _ = invoke("bound --bound lower3 --nu 1e300 --gamma 0.5 --x 1".split())
+        assert code == 0
+        [result] = json.loads(text)["results"]
+        total, terms, tail = geometric_tail_series(1e300, 0.5, 1.0)
+        assert result["tail_share"] == tail / total == pytest.approx(2.5e-301, rel=1e-12)
+        assert result["truncation_terms"] == terms
 
 
 class TestCheck:
@@ -107,6 +118,13 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err == "besselint check: InvalidDomain: series needs 0 <= gamma < 1, got 1.0\n"
+
+    def test_exploratory_x_not_positive_is_usage_error(self):
+        code, out, err = invoke("check --bound main --nu 0 --x 0 --exploratory".split())
+        assert code == 2
+        assert out == ""
+        assert err == ("besselint check: InvalidDomain: main: the integral needs x > 0 "
+                       "(got x=0.0)\n")
 
 
 class TestUsageErrors:
@@ -309,7 +327,7 @@ class TestJsonCsvAgree:
         [row] = _dict_rows(rows)
         [result] = doc["results"]
         _assert_same_scaled(result["value"], row, "value")
-        _assert_same_scaled(result["tail_bound"], row, "tail")
+        assert float(row["tail_share"]) == result["tail_share"] > 0
         assert row["direction"] == result["direction"]
         assert int(row["truncation_terms"]) == result["truncation_terms"]
 
