@@ -1,7 +1,7 @@
 """Closed-form bounds for the incomplete Bessel integral family.
 
 Every bound in the catalog targets an integral of the form
-``integral_0^x e^(-gamma t) t^mu I_ord(t) dt``.  :func:`bound_row` forms a
+``integral_0^x e^(-gamma t) t^mu I_ord(t) dt``.  :func:`row_step` forms a
 (bound, nu, n, mu, gamma) row's x-free coefficients once, and its step at each
 x gives a ``(sign, log)`` pair: the prefactor ``e^(-gamma x) x^power`` is a log
 term and the Bessel combination one ``math.fsum`` scaled by its largest ``I``,
@@ -42,7 +42,7 @@ DAY        lower     e^-gx x^v I_{v+n+3} for F(v, v+n+2);  n > -3, v > -(n+3)/2
 Every bound also needs ``x > 0`` and ``0 <= g < 1``; ``_Entry.reasons``
 checks all but ``x > 0`` once per row, before the bound's own hypotheses.
 Only ``x > 0``, the domain of the integral, is checked at every step, even
-an unchecked :func:`bound_row` one.
+an unchecked :func:`row_step` one.
 
 The truncated series in LOWER1/LOWER3 only ever *under*-estimates (all
 terms are positive), so any truncation level preserves the lower-bound
@@ -75,6 +75,7 @@ __all__ = [
     "x_star",
     "bound_value",
     "bound_row",
+    "row_step",
     "check_row",
     "geometric_tail_series",
     "m_value",
@@ -120,9 +121,6 @@ class Point:
     mu: Optional[float] = None
     gamma: float = 0.0
     x: float = 1.0
-
-
-_ZERO = ScaledValue.zero()
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,16 +454,15 @@ def check_row(id: BoundId, row: Point, xs: Iterable[float]) -> None:
             raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
 
 
-def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
-    """``id`` at each x of the (nu, n, mu, gamma) row ``row``, without its
-    hypotheses (exploratory mode, e.g. probing PROP1 beyond its validity; see
-    :func:`check_row`): direction and coefficients are formed once (at the
-    first x, so a row that raises does so at every x).  ``x <= 0``, outside the
-    integral's domain, and a division by zero raise InvalidDomain naming ``id``."""
+def row_step(id: BoundId, row: Point) -> Callable[[float], tuple[int, float, int, float]]:
+    """``id`` along the (nu, n, mu, gamma) row ``row`` without its hypotheses (see
+    :func:`check_row`): ``x -> (sign, log, series terms, tail share)``, zero as
+    ``(0, 0.0, terms, share)``, with coefficients formed at the first x (so a row
+    that raises does so at every x).  ``x <= 0``, outside the integral's domain,
+    and a division by zero raise InvalidDomain naming ``id``."""
     entry, evaluate = CATALOG[id], None
-    direction = entry.direction_at(row)
 
-    def at(x: float) -> BoundEval:
+    def step(x: float) -> tuple[int, float, int, float]:
         nonlocal evaluate
         if not x > 0:
             raise InvalidDomain(f"{id.value}: the integral needs x > 0 (got x={x})")
@@ -474,10 +471,20 @@ def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
             sign, log, terms, share = evaluate(x)
         except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
             raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None
-        value = ScaledValue(sign, log) if sign and log > -math.inf else _ZERO
+        return (sign, log, terms, share) if sign and log > -math.inf else (0, 0.0, terms, share)
+    return step
+
+
+def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
+    """:func:`row_step` as a :class:`BoundEval` at each x, with the row's
+    direction (exploratory mode, e.g. probing PROP1 beyond its validity)."""
+    step, direction = row_step(id, row), CATALOG[id].direction_at(row)
+
+    def at(x: float) -> BoundEval:
+        sign, log, terms, share = step(x)
         # bound_value's step is at the row's own x, so it needs no second Point
         point = row if x is row.x else Point(row.nu, row.n, row.mu, row.gamma, x)
-        return BoundEval(id, point, value, direction, terms, share)
+        return BoundEval(id, point, ScaledValue(sign, log), direction, terms, share)
     return at
 
 

@@ -64,7 +64,7 @@ ACCURACY_SMALL_X = 1e-12
 ACCURACY_LARGE_X = 1e-10
 
 _SERIES_SWITCH = 18.5
-#: most terms the I power series, Temme's K series or CF2 may use
+#: most terms Temme's K series or CF2 may use, and the I power series past its peak
 _SERIES_TERMS = 20000
 #: most continued-fraction steps of besseli_ratio, and most K recurrence steps
 _RATIO_TERMS = 100_000
@@ -144,7 +144,9 @@ def power_series_sum(order: float, x2_4: float, factors):
 
 
 def _besseli_series(order: float, x: float) -> ScaledValue:
-    summed = power_series_sum(order, 0.25 * x * x, itertools.repeat(1.0, _SERIES_TERMS))
+    # run past the largest term, near (hypot(order, x) - order)/2, up to a million terms
+    cap = int(min(1e6, 0.5 * (math.hypot(order, x) - order))) + _SERIES_TERMS
+    summed = power_series_sum(order, 0.25 * x * x, itertools.repeat(1.0, cap))
     if summed is None:
         raise NonConvergence(f"I power series stalled at order={order}, x={x}")
     s, _, _, shift, _ = summed

@@ -20,17 +20,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bounds import (
     CATALOG,
-    BoundEval,
     BoundId,
     Direction,
     Point,
     bound_row,
     bound_value,
     check_row,
+    row_step,
 )
 from .errors import BesselIntError, InvalidDomain, NotFound
 from .oracle import (
@@ -61,6 +61,8 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
+_ZERO = ScaledValue.zero()
+
 
 class Verdict(Enum):
     HOLDS = "holds"
@@ -68,15 +70,28 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def _point_dict(p: Point) -> dict:
+def _point_dict(p) -> dict:
+    """The coordinates of a :class:`Point`, a :class:`CheckReport` or a
+    :class:`SkippedPoint`, which all carry them as fields."""
     return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+def _point(r) -> Point:
+    return Point(r.nu, r.n, r.mu, r.gamma, r.x)
+
+
+class CheckReport(NamedTuple):
+    """One check, flat: its point's coordinates and its bound's ``(sign, log)``
+    are fields, and ``point`` and ``bound_value`` are built when read."""
+
     bound: BoundId
-    point: Point
-    bound_value: ScaledValue
+    nu: float
+    n: float
+    mu: Optional[float]
+    gamma: float
+    x: float
+    bound_sign: int
+    bound_log: float
     oracle_value: ScaledValue
     oracle_err: ScaledValue
     verdict: Verdict
@@ -85,10 +100,16 @@ class CheckReport:
     direction: Direction
     reason: Optional[str] = None
 
+    point = property(_point)
+
+    @property
+    def bound_value(self) -> ScaledValue:
+        return ScaledValue(self.bound_sign, self.bound_log)
+
     def to_dict(self) -> dict:
         return {
             "bound": self.bound.value,
-            "point": _point_dict(self.point),
+            "point": _point_dict(self),
             "bound_value": self.bound_value.to_dict(),
             "oracle_value": self.oracle_value.to_dict(),
             "oracle_err": self.oracle_err.to_dict(),
@@ -100,15 +121,19 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SkippedPoint:
+class SkippedPoint(NamedTuple):
     bound: BoundId
-    point: Point
+    nu: float
+    n: float
+    mu: Optional[float]
+    gamma: float
+    x: float
     reason: str
 
+    point = property(_point)
+
     def to_dict(self) -> dict:
-        return {"bound": self.bound.value, "point": _point_dict(self.point),
-                "reason": self.reason}
+        return {"bound": self.bound.value, "point": _point_dict(self), "reason": self.reason}
 
 
 @dataclass
@@ -132,17 +157,19 @@ def _margin(direction: Direction, ratio: float) -> float:
     return -abs(ratio - 1.0)  # equality: any gap counts against
 
 
-def _report_from_values(ev: BoundEval, oracle: QuadResult, oracle_rel_err: float,
-                        tol: float) -> CheckReport:
-    direction = ev.direction
-    if oracle.value.is_zero():
+def _report(bid: BoundId, row: Point, x: float, direction: Direction,
+            value: tuple[int, float, int, float], oracle: QuadResult,
+            oracle_rel_err: float, tol: float) -> CheckReport:
+    """The verdict on the bound's :func:`row_step` ``value`` at ``x`` of ``row``."""
+    sign, log, _, share = value
+    o = oracle.value
+    if o.is_zero():
         raise InvalidDomain("oracle integral is zero; no relative margin exists")
-    ratio = exp_float(ev.value.sign * oracle.value.sign, ev.value.log_abs - oracle.value.log_abs)
-    margin = _margin(direction, ratio)
+    margin = _margin(direction, exp_float(sign * o.sign, log - o.log_abs))
     # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
-    rounding = 2.0 ** -53 * (abs(ev.value.log_abs) + abs(oracle.value.log_abs))
+    rounding = 2.0 ** -53 * (abs(log) + abs(o.log_abs))
     unc = (oracle_rel_err + KERNEL_UNCERTAINTY
-           + (math.expm1(rounding) if rounding < 709.0 else math.inf) + ev.tail_share)
+           + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
     if not oracle.converged:
         unc = max(unc, tol)
     if margin > unc:
@@ -151,23 +178,8 @@ def _report_from_values(ev: BoundEval, oracle: QuadResult, oracle_rel_err: float
         verdict = Verdict.VIOLATED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return CheckReport(
-        bound=ev.bound, point=ev.point, bound_value=ev.value,
-        oracle_value=oracle.value, oracle_err=oracle.abs_err,
-        verdict=verdict, rel_margin=margin, uncertainty=unc,
-        direction=direction,
-    )
-
-
-def _failed_report(bid: BoundId, point: Point, exc: BesselIntError) -> CheckReport:
-    """INCONCLUSIVE report for a check whose evaluation raised ``exc``."""
-    return CheckReport(
-        bound=bid, point=point, bound_value=ScaledValue.zero(),
-        oracle_value=ScaledValue.zero(), oracle_err=ScaledValue.zero(),
-        verdict=Verdict.INCONCLUSIVE, rel_margin=math.nan,
-        uncertainty=math.inf, direction=CATALOG[bid].direction_at(point),
-        reason=f"{type(exc).__name__}: {exc}",
-    )
+    return CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log, o,
+                       oracle.abs_err, verdict, margin, unc, direction)
 
 
 def check_point(id: BoundId, point: Point, tol: float = 1e-10,
@@ -182,8 +194,9 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     check_tol(tol)
     ev = (bound_row(id, point)(point.x) if exploratory else
           bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x))
+    value = (ev.value.sign, ev.value.log_abs, ev.truncation_terms, ev.tail_share)
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
-    return _report_from_values(ev, oracle, oracle.rel_err(), tol)
+    return _report(id, point, point.x, ev.direction, value, oracle, oracle.rel_err(), tol)
 
 
 # ----------------------------------------------------------------------
@@ -265,21 +278,23 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
                 if reason is None:
                     valid.append(x)
                 else:
-                    skipped.append(SkippedPoint(bid, Point(row.nu, row.n, row.mu, row.gamma, x),
-                                                reason))
+                    skipped.append(SkippedPoint(bid, row.nu, row.n, row.mu, row.gamma, x, reason))
             if not valid:
                 continue
-            spec, bound_at = entry.integrand(row), bound_row(bid, row)
+            spec, step = entry.integrand(row), row_step(bid, row)
+            direction = entry.direction_at(row)
             results = oracle_row(spec.mu, spec.ord, spec.gamma)
             for x in valid:
                 if not isinstance(result := results[x], BesselIntError):
                     try:
-                        reports.append(_report_from_values(bound_at(x), *result, tol))
+                        reports.append(_report(bid, row, x, direction, step(x), *result, tol))
                         continue
                     except BesselIntError as exc:
                         result = exc
-                reports.append(_failed_report(
-                    bid, Point(row.nu, row.n, row.mu, row.gamma, x), result))
+                reports.append(CheckReport(
+                    bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _ZERO, _ZERO,
+                    Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
+                    f"{type(result).__name__}: {result}"))
     counts = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
     return SweepResult(reports=reports, skipped=skipped, counts=counts)
 

@@ -69,6 +69,13 @@ class TestBound:
         assert result["truncation_terms"] == terms
 
 
+    def test_huge_order_at_huge_x(self):
+        # the I power series peaks near its 20 711th term here
+        code, text, _ = invoke("bound --bound main --nu 1e5 --x 1e5".split())
+        assert code == 0
+        assert json.loads(text)["results"][0]["value"]["sign"] == 1
+
+
 class TestCheck:
     def test_holds_exit_zero(self):
         code, text, _ = invoke(["check", "--bound", "main", "--nu", "-0.25",

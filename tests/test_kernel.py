@@ -25,6 +25,9 @@ K_HALF_2 = 0.11993777196806145      # sqrt(pi/(2x)) e^-x at x = 2
 K_0_2 = 0.11389387274953344         # quadrature of the cosh representation
 K_03_1 = 0.43507602420880202
 RATIO_0_1 = 0.44638996589653451     # I_1(1)/I_0(1)
+# log I at huge orders, from 40-digit mpmath.besseli(..., maxterms=10**7)
+LOG_I_1E5_1E5 = 53277.148847441684
+LOG_I_1E5_2E5 = 175478.53748364750
 
 
 def assert_k_log_close(order, x, log_true, rel=1e-14):
@@ -60,6 +63,23 @@ class TestBesselI:
     ])
     def test_huge_arguments_no_overflow(self, order, x, log_expected):
         assert log_relerr(besseli(order, x), log_expected) < 1e-10
+
+    @pytest.mark.parametrize("order,x,log_expected", [
+        (1e5, 1e5, LOG_I_1E5_1E5),
+        (1e5, 2e5, LOG_I_1E5_2E5),
+    ])
+    def test_series_runs_past_its_largest_term(self, order, x, log_expected):
+        # the terms peak near k = (hypot(order, x) - order)/2: 20 711 and
+        # 61 803 here, past a fixed cap of 20 000 terms
+        v = besseli(order, x)
+        assert v.sign == 1
+        assert abs(v.log_abs - log_expected) <= 1e-9
+
+    @pytest.mark.parametrize("order", [1e10, 1.5e308])
+    def test_series_gives_up_past_a_million_terms(self, order):
+        # the largest term lies far past 1e6 terms here (hypot overflows at 1.5e308)
+        with pytest.raises(NonConvergence, match="I power series stalled"):
+            besseli(order, order)
 
     def test_rejects_negative_integer_orders(self):
         with pytest.raises(InvalidOrder):

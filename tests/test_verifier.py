@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from besselint.bounds import CATALOG, BoundId, Direction, Point
 from besselint import cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
+from besselint.scaled import ScaledValue
 from besselint.verifier import (
     Grid,
     Verdict,
@@ -197,6 +199,42 @@ class TestSweep:
                                                          c.direction)
             assert r.reason == "InvalidDomain: main: the closed form divides by zero here"
         assert res.counts == {"holds": 3, "violated": 0, "inconclusive": 3}
+
+
+class TestFlatRecords:
+    """Sweep reports and skips carry their coordinates and bound value as fields."""
+
+    # MAIN skips nu = -0.75, and PROP1 skips mu = 0.5 below nu = 1
+    GRID = Grid(nu_values=(-0.75, 1.0), gamma_values=(0.0, 0.5), x_values=(0.5, 5.0),
+                mu_values=(0.5, 1.0))
+    IDS = [BoundId.MAIN, BoundId.LOWER3, BoundId.PROP1]
+
+    @staticmethod
+    def _live_points() -> int:
+        gc.collect()
+        return sum(type(o) is Point for o in gc.get_objects())
+
+    def test_held_result_keeps_no_point(self):
+        before = self._live_points()
+        res = sweep(self.IDS, self.GRID)
+        assert res.reports and res.skipped
+        assert self._live_points() <= before
+
+    def test_point_and_bound_value_are_built_from_the_fields(self):
+        res = sweep(self.IDS, self.GRID)
+        for r in res.reports:
+            assert r.point == Point(r.nu, r.n, r.mu, r.gamma, r.x)
+            assert r.bound_value == ScaledValue(r.bound_sign, r.bound_log)
+        for s in res.skipped:
+            assert s.point == Point(s.nu, s.n, s.mu, s.gamma, s.x)
+
+    def test_fields_are_read_only(self):
+        res = sweep(self.IDS, self.GRID)
+        r, s = res.reports[0], res.skipped[0]
+        for record, name in [(r, "x"), (r, "verdict"), (r, "bound_log"), (r, "point"),
+                             (r, "bound_value"), (s, "nu"), (s, "reason"), (s, "point")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 class TestTables:
