@@ -200,6 +200,8 @@ def besseli(order: float, x: float) -> ScaledValue:
     """
     if x < 0:
         raise InvalidDomain(f"besseli requires x >= 0, got {x}")
+    if not abs(order) < math.inf:
+        raise InvalidDomain(f"besseli requires a finite order, got {order}")
     if order < 0 and order == math.floor(order):
         raise InvalidOrder(f"negative integer order {order} is not supported")
     if x == 0.0:

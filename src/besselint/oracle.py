@@ -20,8 +20,8 @@ integral's ``e^((1-gamma) x)`` growth never overflows.  Since
 ``S(p+2) <= S(p)``, every later term ratio is at most
 ``q = x^2/(4 (K+1)(ord+K+1))``, and the tail after term K is certified by
 ``T_K q/(1-q)``.  Terms are added until that tail is below one rounding
-unit of the sum.  ``abs_err`` is an a-priori bound: the rounding of the
-recurrences, of the anchor and of the sum, plus the certified tail.
+unit of the sum.  ``rel_err`` is an a-priori relative bound: the rounding
+of the recurrences, of the anchor's log and of the sum, plus the tail.
 
 For ``ord < -1`` (with ``mu + ord > -1``) the finitely many head terms
 with ``ord + k + 1 < 0`` alternate in sign; they are carried through the
@@ -41,7 +41,7 @@ from enum import Enum
 
 from . import kernel
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
-from .scaled import ScaledValue, exp_float
+from .scaled import ScaledValue
 
 __all__ = [
     "IntegralSpec",
@@ -97,19 +97,20 @@ class IntegralSpec:
 
 @dataclass(frozen=True, slots=True)
 class QuadResult:
-    """``value`` of F, an a-priori bound ``abs_err`` on its error, the number
-    of series terms summed (``segments``) and whether ``abs_err`` is within
-    the requested relative tolerance (``converged``)."""
+    """``value`` of F, an a-priori bound ``rel_err`` on its relative error,
+    the number of series terms summed (``segments``) and whether ``rel_err``
+    is within the requested tolerance (``converged``)."""
 
     value: ScaledValue
-    abs_err: ScaledValue
+    rel_err: float
     segments: int
     converged: bool
 
-    def rel_err(self) -> float:
-        if self.value.is_zero():
-            return 0.0 if self.abs_err.is_zero() else math.inf
-        return exp_float(self.abs_err.sign, self.abs_err.log_abs - self.value.log_abs)
+    @property
+    def abs_err(self) -> ScaledValue:
+        """``|value| * rel_err``, zero when ``rel_err`` is."""
+        return (ScaledValue(1, self.value.log_abs + math.log(self.rel_err)) if self.rel_err
+                else ScaledValue.zero())
 
 
 def check_tol(tol: float) -> None:
@@ -187,20 +188,21 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
 
     lg = kernel.log_gamma(order + 1.0)
     parts = (-order * _LN2, -lg, p0 * math.log(x), -z, log_s0, shift * _LN2)
-    log_t0 = math.fsum(parts)
-    # a-priori rounding bound in units of u * sum |T_k|: 10 roundings per
-    # term ratio and sum; 10 per step of the w recurrence and of the direct
-    # sum that starts it (the recurrence damps the error it carries, so
-    # step errors add up rather than compound); 3 per unit of every log
-    # that enters the anchor, which also covers the rounding of p0 times
-    # |d log T / dp| <= |log x| + 1/p0 + log(1 + z/p0); and the final logs
-    coef = (10 * terms + 10 * steps + 10
-            + 3 * math.fsum(abs(v) for v in parts) + 2 * abs(math.log(abs(s))))
+    # a-priori rounding bound in units of u * sum |T_k| / |sum|: 10 roundings per term
+    # ratio and sum; 10 per step of the w recurrence and of the direct sum that starts
+    # it (the recurrence damps the error it carries, so step errors add up rather than
+    # compound); and the final logs.  The anchor's log is off by 3 u per unit of every
+    # log in it, which covers the rounding of p0 times |d log T / dp| <= |log x| + 1/p0
+    # + log(1 + z/p0), a factor of its own on each T_k; it moves F by up to e^log_err
+    log_s = math.log(abs(s))
+    linear = ((10 * terms + 10 * steps + 10 + 2 * abs(log_s)) * _U * a + tail) / abs(s)
+    log_err = 3 * _U * math.fsum(abs(v) for v in parts) * (a / abs(s))
+    if not log_err < 709.0:
+        raise InvalidDomain(f"F is past the representation: its log is uncertain by {log_err:.3g}")
+    rel_err = linear + math.expm1(log_err) * (1.0 + linear)
     sign = kernel.gamma_sign(order + 1.0) * (1 if s > 0 else -1)
-    value = ScaledValue.from_log(math.log(abs(s)) + log_t0, sign)
-    abs_err = ScaledValue.from_log(math.log(coef * _U * a + tail) + log_t0)
-    converged = abs_err.log_abs - value.log_abs <= math.log(tol)
-    return QuadResult(value, abs_err, terms, converged)
+    value = ScaledValue.from_log(log_s + math.fsum(parts), sign)
+    return QuadResult(value, rel_err, terms, rel_err <= tol)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +230,7 @@ def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
     check_tol(tol)
     spec.validate()
     if spec.x == 0.0:
-        return QuadResult(ScaledValue.zero(), ScaledValue.zero(), 0, True)
+        return QuadResult(ScaledValue.zero(), 0.0, 0, True)
     return _series(spec.mu, spec.ord, spec.gamma, spec.x, tol)
 
 

@@ -9,8 +9,8 @@ rounding of both logs): a strict inequality can never be certified at an
 equality point, so a margin inside the band is neither pass nor failure.
 
 Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
-and its relative error once: checks that share an integral share its oracle
-result, and an integral whose series fails turns only its checks INCONCLUSIVE.
+once: checks that share an integral share its oracle result, and an integral
+whose series fails turns only its checks INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
-_ZERO = ScaledValue.zero()
+_NO_ORACLE = QuadResult(ScaledValue.zero(), 0.0, 0, False)
 
 
 class Verdict(Enum):
@@ -81,8 +81,9 @@ def _point(r) -> Point:
 
 
 class CheckReport(NamedTuple):
-    """One check, flat: its point's coordinates and its bound's ``(sign, log)``
-    are fields, and ``point`` and ``bound_value`` are built when read."""
+    """One check, flat: its point's coordinates, its bound's ``(sign, log)``
+    and the oracle result it was judged against are fields, and ``point``
+    and ``bound_value`` are built when read."""
 
     bound: BoundId
     nu: float
@@ -92,8 +93,7 @@ class CheckReport(NamedTuple):
     x: float
     bound_sign: int
     bound_log: float
-    oracle_value: ScaledValue
-    oracle_err: ScaledValue
+    oracle: QuadResult
     verdict: Verdict
     rel_margin: float
     uncertainty: float
@@ -111,8 +111,8 @@ class CheckReport(NamedTuple):
             "bound": self.bound.value,
             "point": _point_dict(self),
             "bound_value": self.bound_value.to_dict(),
-            "oracle_value": self.oracle_value.to_dict(),
-            "oracle_err": self.oracle_err.to_dict(),
+            "oracle_value": self.oracle.value.to_dict(),
+            "oracle_err": self.oracle.abs_err.to_dict(),
             "verdict": self.verdict.value,
             "rel_margin": self.rel_margin,
             "uncertainty": self.uncertainty,
@@ -158,8 +158,7 @@ def _margin(direction: Direction, ratio: float) -> float:
 
 
 def _report(bid: BoundId, row: Point, x: float, direction: Direction,
-            value: tuple[int, float, int, float], oracle: QuadResult,
-            oracle_rel_err: float, tol: float) -> CheckReport:
+            value: tuple[int, float, int, float], oracle: QuadResult, tol: float) -> CheckReport:
     """The verdict on the bound's :func:`row_step` ``value`` at ``x`` of ``row``."""
     sign, log, _, share = value
     o = oracle.value
@@ -168,7 +167,7 @@ def _report(bid: BoundId, row: Point, x: float, direction: Direction,
     margin = _margin(direction, exp_float(sign * o.sign, log - o.log_abs))
     # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
     rounding = 2.0 ** -53 * (abs(log) + abs(o.log_abs))
-    unc = (oracle_rel_err + KERNEL_UNCERTAINTY
+    unc = (oracle.rel_err + KERNEL_UNCERTAINTY
            + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
     if not oracle.converged:
         unc = max(unc, tol)
@@ -178,8 +177,8 @@ def _report(bid: BoundId, row: Point, x: float, direction: Direction,
         verdict = Verdict.VIOLATED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log, o,
-                       oracle.abs_err, verdict, margin, unc, direction)
+    return CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log, oracle,
+                       verdict, margin, unc, direction)
 
 
 def check_point(id: BoundId, point: Point, tol: float = 1e-10,
@@ -196,7 +195,7 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
           bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x))
     value = (ev.value.sign, ev.value.log_abs, ev.truncation_terms, ev.tail_share)
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
-    return _report(id, point, point.x, ev.direction, value, oracle, oracle.rel_err(), tol)
+    return _report(id, point, point.x, ev.direction, value, oracle, tol)
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +231,9 @@ def default_grid() -> Grid:
 
 
 def _oracle_row(mu: float, ordv: float, gamma: float, xs: list[float], tol: float) -> dict:
-    """Each x's integral and relative error, or the error that stands in for it:
-    one oracle call per row, where the benchmark tracer counts rows, and on
-    failure one per x, so that an error stands in only for its own integral."""
+    """Each x's integral, or the error that stands in for it: one oracle call
+    per row, where the benchmark tracer counts rows, and on failure one per
+    x, so that an error stands in only for its own integral."""
     try:
         results: list = cumulative_bessel_integral(mu, ordv, gamma, xs, tol)
     except BesselIntError:
@@ -244,8 +243,7 @@ def _oracle_row(mu: float, ordv: float, gamma: float, xs: list[float], tol: floa
                 results.append(bessel_integral(IntegralSpec(mu, ordv, gamma, x), tol))
             except BesselIntError as exc:
                 results.append(exc)
-    return {x: r if isinstance(r, BesselIntError) else (r, r.rel_err())
-            for x, r in zip(xs, results)}
+    return dict(zip(xs, results))
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
@@ -287,12 +285,12 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
             for x in valid:
                 if not isinstance(result := results[x], BesselIntError):
                     try:
-                        reports.append(_report(bid, row, x, direction, step(x), *result, tol))
+                        reports.append(_report(bid, row, x, direction, step(x), result, tol))
                         continue
                     except BesselIntError as exc:
                         result = exc
                 reports.append(CheckReport(
-                    bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _ZERO, _ZERO,
+                    bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
                     Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
                     f"{type(result).__name__}: {result}"))
     counts = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}

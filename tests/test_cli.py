@@ -48,6 +48,13 @@ class TestEval:
         assert v["decimal"] is None
         assert v["log_abs"] > 700.0
 
+    def test_zero_limit_has_a_zero_error(self):
+        code, text, _ = invoke("eval --mu 0 --ord 0 --gamma 0 --x 0".split())
+        assert code == 0
+        result = json.loads(text)["results"][0]
+        assert result["value"]["sign"] == 0
+        assert result["abs_err"] == {"sign": 0, "log_abs": 0.0, "decimal": 0.0}
+
     def test_csv_fields_round_trip_full_precision(self):
         code, text, _ = invoke(["eval", "--mu", "0.5", "--ord", "0.5", "--gamma",
                                 "0.3", "--x", "7", "--format", "csv"])
@@ -519,10 +526,20 @@ class TestHugeFiniteInputs:
         assert code == 0
         assert json.loads(text)["summary"]["direction"] == "equality"
 
-    @pytest.mark.parametrize("bound", ["lower3", "lower4"])
-    def test_huge_order_rounding_is_not_a_violation(self, bound):
+    @pytest.mark.parametrize("argv", [
         # the logs of bound and oracle differ by one rounding unit at nu = 1e16
-        code, text, _ = invoke(f"check --bound {bound} --nu 1e16 --x 1".split())
+        "check --bound lower3 --nu 1e16 --x 1",
+        "check --bound lower4 --nu 1e16 --x 1",
+        # the oracle's anchor log is tens of units off; it counts as a factor
+        "check --bound new1 --nu 7115676407749083 --n -1.8333430404577944 --x 9662.24961242215",
+        "check --bound lower3 --nu 9770533196362902 --x 78362.25787491772",
+        "check --bound day --nu 165858391298106.66 --n 1.9816503765090498 "
+        "--x 4.022699798492363",
+        "check --bound lower4 --nu 1226501732499647.5 --n 0.1883005703586047 "
+        "--gamma 0.35337912090240575 --x 1295.8867393452933",
+    ], ids=["lower3", "lower4", "new1-7.1e15", "lower3-9.8e15", "day-1.7e14", "lower4-1.2e15"])
+    def test_huge_order_rounding_is_not_a_violation(self, argv):
+        code, text, _ = invoke(argv.split())
         assert code == 0
         assert json.loads(text)["summary"]["verdict"] == "inconclusive"
 

@@ -97,6 +97,14 @@ class TestBesselI:
         with pytest.raises(InvalidDomain):
             besseli(-0.5, 0.0)
 
+    # rejected at the top: a NaN order would sum NaN series terms up to the cap
+    @pytest.mark.parametrize("order, x", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.3, math.nan), (0.3, math.inf),
+    ])
+    def test_rejects_non_finite_input(self, order, x):
+        with pytest.raises(InvalidDomain):
+            besseli(order, x)
+
     def test_accuracy_sweep_against_mpmath(self):
         worst_small = worst_large = 0.0
         for nu in (-1.5, -0.49, 0.0, 0.5, 2.5, 7.5, 12.0):

@@ -64,7 +64,7 @@ class TestBesselIntegral:
         for tol in (1e-8, 1e-11):
             res = bessel_integral(IntegralSpec(0.3, 0.8, 0.4, 12.0), tol)
             assert res.converged
-            assert res.rel_err() <= tol
+            assert res.rel_err <= tol
 
     def test_tolerance_range_is_closed(self):
         check_tol(TOL_MIN)
@@ -112,6 +112,19 @@ class TestBesselIntegral:
         assert res.converged
         assert res.value.log_abs > 390.0  # grows like e^x / x
 
+    def test_rel_err_covers_the_log_at_a_huge_order(self):
+        # one ulp of log F is 64 here, and the anchor's log is 28.6 off; the
+        # error of that log must reach rel_err as a factor, not vanish in it
+        nu = 1e16
+        res = bessel_integral(IntegralSpec(nu, nu, 0.0, 1.0))
+        assert math.isfinite(res.rel_err)
+        with mpmath.workdps(40):
+            v = mpmath.mpf(nu)
+            # the first two terms of the series; the third is about 1e-33 of F
+            ref = (-v * mpmath.log(2) - mpmath.loggamma(v + 1) - mpmath.log(2 * v + 1)
+                   + mpmath.log1p((2 * v + 1) / (4 * (v + 1) * (2 * v + 3))))
+            assert abs(mpmath.mpf(res.value.log_abs) - ref) <= math.log1p(res.rel_err)
+
 
 def _mp_series(mu, order, gamma, x):
     """F at 40 digits: ``sum_k a_k J(p_k)`` with every ``J(p)`` from mpmath's
@@ -149,15 +162,28 @@ _DIFFERENTIAL_CASES = (
 )
 
 
-@pytest.mark.parametrize("mu,ordv,gamma,x", _DIFFERENTIAL_CASES)
-def test_abs_err_covers_the_40_digit_error(mu, ordv, gamma, x):
+def _covered(mu, ordv, gamma, x):
+    """The oracle's result at tol 1e-10, after asserting that its ``abs_err``
+    covers its distance from the 40-digit series."""
     res = bessel_integral(IntegralSpec(mu, ordv, gamma, x), 1e-10)
     ref = _mp_series(mu, ordv, gamma, x)
     with mpmath.workdps(40):
         got = res.value.sign * mpmath.exp(mpmath.mpf(res.value.log_abs))
         err = mpmath.exp(mpmath.mpf(res.abs_err.log_abs))
         assert abs(got - ref) <= err
-    assert res.converged
+    return res
+
+
+@pytest.mark.parametrize("mu,ordv,gamma,x", _DIFFERENTIAL_CASES)
+def test_abs_err_covers_the_40_digit_error(mu, ordv, gamma, x):
+    assert _covered(mu, ordv, gamma, x).converged
+
+
+def test_abs_err_covers_a_cancelling_head():
+    # just past a zero of F the signed head cancels to 1.6e-9 of sum |T_k|, so
+    # the rounding bound scales by sum |T_k| / |sum| and the result is not converged
+    res = _covered(1.0, -1.5, 0.0, 2.2961623001686453 * (1 + 1e-9))
+    assert not res.converged
 
 
 class TestCumulative:

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point
 from besselint import cli, oracle
@@ -56,6 +57,30 @@ class TestCheckPoint:
         r = check_point(bid, Point(nu=1e16, x=1.0))
         assert r.verdict is Verdict.INCONCLUSIVE
         assert abs(r.rel_margin) <= r.uncertainty
+
+    # at the examples the oracle's anchor log is tens of units off, an error
+    # that counts only as the factor e^log_err on F, never as a small one
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(bid=st.sampled_from(list(BoundId)),
+           nu=st.floats(0.0, 18.0).map(lambda t: 10.0 ** t), n=st.floats(-3.0, 3.0),
+           dmu=st.floats(0.0, 3.0), gamma=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           x=st.floats(-2.0, 5.0).map(lambda t: 10.0 ** t))
+    @example(bid=BoundId.NEW1, nu=7115676407749083.0, n=-1.8333430404577944, dmu=0.0,
+             gamma=0.0, x=9662.24961242215)
+    @example(bid=BoundId.LOWER3, nu=9770533196362902.0, n=0.0, dmu=0.0, gamma=0.0,
+             x=78362.25787491772)
+    @example(bid=BoundId.DAY, nu=165858391298106.66, n=1.9816503765090498, dmu=0.0,
+             gamma=0.0, x=4.022699798492363)
+    @example(bid=BoundId.LOWER4, nu=1226501732499647.5, n=0.1883005703586047, dmu=0.0,
+             gamma=0.35337912090240575, x=1295.8867393452933)
+    def test_no_check_inside_the_hypotheses_is_violated(self, bid, nu, n, dmu, gamma, x):
+        point = Point(nu, n, nu + dmu, gamma, x)
+        assume(CATALOG[bid].invalid_reason(point) is None)
+        try:
+            verdict = check_point(bid, point).verdict
+        except InvalidDomain:
+            return  # F past the representation, or a bound past the float range
+        assert verdict in (Verdict.HOLDS, Verdict.INCONCLUSIVE)
 
     def test_edge_of_the_upper_bound_hypotheses_holds(self):
         # nu + n + 1 is 1.5e-16 here; a 50-digit series puts bound/F - 1 at +0.174
@@ -167,10 +192,10 @@ class TestSweep:
                 r.verdict is verdict for r in res.reports)
 
     def test_sweep_and_check_point_give_the_same_reports(self):
-        # sweep evaluates a row at a time and shares each integral and its
-        # rel_err() among the checks that need it; check_point computes its
-        # own for one check, at the smallest, a middle and the largest x of
-        # every (bound, nu, n, mu, gamma) row of the default grid
+        # sweep evaluates a row at a time and shares each integral among the
+        # checks that need it; check_point computes its own for one check, at
+        # the smallest, a middle and the largest x of every (bound, nu, n, mu,
+        # gamma) row of the default grid
         rows = {}
         for r in sweep(list(BoundId), default_grid()).reports:
             p = r.point
