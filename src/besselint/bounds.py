@@ -249,11 +249,19 @@ def _combination(gamma: float, power: float, *terms: tuple[float, float]):
     """The step of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms`` ``(c_i, o_i)``:
     ``math.fsum`` adds the terms relative to the largest ``I_i`` with
     ``c_i != 0``.  A log or a coefficient that is not finite raises the
-    :class:`InvalidDomain` that a ScaledValue made from it would."""
+    :class:`InvalidDomain` that a ScaledValue made from it would; a lone finite ``c != 0``
+    has its sign and ``log|c|`` formed once per row, in the same float expression."""
+    live = [(c, order) for c, order in terms if c]
+    if one := len(live) == 1 and math.isfinite(c := live[0][0]):
+        one_order, one_sign, log_c = live[0][1], (c > 0) - (c < 0), math.log(abs(c))
+
     def step(x: float):
         pre = -gamma * x + power * math.log(x)
         if math.isnan(pre) or pre == math.inf:  # -inf is an underflow to zero
             raise InvalidDomain(f"non-finite log magnitude {pre!r}")
+        if one:
+            i = kernel.besseli(one_order, x)
+            return one_sign * i.sign, pre + i.log_abs + log_c if i.sign else -math.inf, 0, 0.0
         scaled = []
         for c, order in terms:
             if not math.isfinite(c):

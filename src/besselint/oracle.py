@@ -28,6 +28,10 @@ with ``ord + k + 1 < 0`` alternate in sign; they are carried through the
 same signed ratios and the rounding bound scales with the sum of
 ``|T_k|``.
 
+A (mu, ord, gamma) row forms its x-free parts once, and its step sums one x.
+Rows with equal ``p0 = mu + ord + 1`` share the S tables, which depend on
+``(p0, z, n)`` alone: those of the last p0 stay until a row with another comes.
+
 The closed forms (``antiderivative_gamma1``, the identity residuals) are
 computed through routes independent of the series so that each can
 certify the other.
@@ -91,8 +95,8 @@ class IntegralSpec:
             )
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidDomain(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.x < 0:
-            raise InvalidDomain(f"upper limit must be >= 0, got {self.x}")
+        if not 0.0 <= self.x < math.inf:
+            raise InvalidDomain(f"upper limit must be finite and >= 0, got {self.x}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,13 +164,29 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
     return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
 
 
-def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> QuadResult:
+#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n),
+#: so that a row handed another thread's dict finds no table of another p0
+_s_tables: tuple[float, dict] = (math.nan, {})
+
+
+def _row(mu: float, order: float, gamma: float) -> tuple:
+    """The x-free parts: the row, p0, -ord ln 2, -log|Gamma(ord+1)|, its sign, p0's S tables."""
+    global _s_tables
     if kernel.is_nonpositive_int(order + 1.0):
         raise InvalidOrder(f"negative integer order {order} is not supported")
     try:
         p0 = math.fsum((mu, order, 1.0))  # correctly rounded near mu + ord = -1
     except OverflowError:
         raise InvalidDomain(f"mu + ord + 1 overflows (mu={mu}, ord={order})") from None
+    if _s_tables[0] != p0:
+        _s_tables = (p0, {})
+    return (mu, order, gamma, p0, -order * _LN2, -kernel.log_gamma(order + 1.0),
+            kernel.gamma_sign(order + 1.0), _s_tables[1])
+
+
+def _series(row: tuple, x: float, tol: float) -> QuadResult:
+    """The row's integral up to ``x``: the step of :func:`_row`."""
+    mu, order, gamma, p0, log_2, log_gamma, gamma_sign, tables = row
     z = gamma * x
     # past the peak near k = x/2 the terms fall by e^-37 within ~4.3 sqrt(x)
     n = int(0.5 * x + 5.0 * math.sqrt(x) + max(0.0, -order)) + 10
@@ -175,19 +195,17 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
             raise NonConvergence(
                 f"F(mu={mu}, ord={order}, gamma={gamma}, x={x}) needs more than "
                 f"{_MAX_TERMS} series terms")
-        if z > 0.0:
-            ratios, log_s0, steps = _s_ratios(p0, z, n)
-        else:
-            ratios = [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)]
-            log_s0, steps = -math.log(p0), 0
+        if (table := tables.get(key := (p0, z, n))) is None:  # S(p) = 1/p at z = 0
+            table = tables[key] = (_s_ratios(p0, z, n) if z > 0.0 else (
+                [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)], -math.log(p0), 0))
+        ratios, log_s0, steps = table
         summed = kernel.power_series_sum(order, 0.25 * x * x, ratios)
         if summed is not None:
             break
         n *= 2
     s, a, tail, shift, terms = summed
 
-    lg = kernel.log_gamma(order + 1.0)
-    parts = (-order * _LN2, -lg, p0 * math.log(x), -z, log_s0, shift * _LN2)
+    parts = (log_2, log_gamma, p0 * math.log(x), -z, log_s0, shift * _LN2)
     # a-priori rounding bound in units of u * sum |T_k| / |sum|: 10 roundings per term
     # ratio and sum; 10 per step of the w recurrence and of the direct sum that starts
     # it (the recurrence damps the error it carries, so step errors add up rather than
@@ -200,7 +218,7 @@ def _series(mu: float, order: float, gamma: float, x: float, tol: float) -> Quad
     if not log_err < 709.0:
         raise InvalidDomain(f"F is past the representation: its log is uncertain by {log_err:.3g}")
     rel_err = linear + math.expm1(log_err) * (1.0 + linear)
-    sign = kernel.gamma_sign(order + 1.0) * (1 if s > 0 else -1)
+    sign = gamma_sign * (1 if s > 0 else -1)
     value = ScaledValue.from_log(log_s + math.fsum(parts), sign)
     return QuadResult(value, rel_err, terms, rel_err <= tol)
 
@@ -219,10 +237,11 @@ def cumulative_bessel_integral(mu: float, ord: float, gamma: float,
     check_tol(tol)
     if not xs:
         return []
-    if any(x <= 0 for x in xs):
-        raise InvalidDomain("cumulative evaluation needs strictly positive limits")
+    if not all(0.0 < x < math.inf for x in xs):
+        raise InvalidDomain("cumulative evaluation needs finite, strictly positive limits")
     IntegralSpec(mu, ord, gamma, xs[0]).validate()
-    return [_series(mu, ord, gamma, x, tol) for x in xs]
+    row = _row(mu, ord, gamma)
+    return [_series(row, x, tol) for x in xs]
 
 
 def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
@@ -231,7 +250,7 @@ def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
     spec.validate()
     if spec.x == 0.0:
         return QuadResult(ScaledValue.zero(), 0.0, 0, True)
-    return _series(spec.mu, spec.ord, spec.gamma, spec.x, tol)
+    return _series(_row(spec.mu, spec.ord, spec.gamma), spec.x, tol)
 
 
 def antiderivative_gamma1(nu: float, x: float) -> ScaledValue:

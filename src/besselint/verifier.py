@@ -9,13 +9,12 @@ rounding of both logs): a strict inequality can never be certified at an
 equality point, so a margin inside the band is neither pass nor failure.
 
 Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
-once: checks that share an integral share its oracle result, and an integral
-whose series fails turns only its checks INCONCLUSIVE.
+once, grouped by mu + ord + 1: checks that share an integral share its oracle
+result, and an integral whose series fails turns only its checks INCONCLUSIVE.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -255,16 +254,17 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     the oracle cannot sum (for example one that needs more series terms than
     the oracle allows): the checks that need it are INCONCLUSIVE with its
     error, and every other check, on the same ``(mu, ord, gamma)`` row too,
-    goes on as usual.  Output order is canonical whatever the order of ``ids``
-    or of the axes: bounds by id value, then the product of the sorted axes.
+    goes on as usual.  Each distinct oracle row runs once, before any report is
+    built, grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
+    Output order is canonical whatever the order of ``ids`` or of the axes:
+    bounds by id value, then the product of the sorted axes.
     """
     check_tol(tol)
     oracle_tol = _oracle_tol(tol)
     xs = sorted(grid.x_values)
     limits = list(dict.fromkeys(x for x in xs if x > 0))  # every oracle row's, each x once
-    oracle_row = functools.cache(lambda *key: _oracle_row(*key, limits, oracle_tol))
-    reports: list[CheckReport] = []
     skipped: list[SkippedPoint] = []
+    plan = []  # (bound, row, its valid xs, its integral, its direction), in output order
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
         axes = (sorted(grid.nu_values), sorted(grid.n_values) if entry.uses_n else [0.0],
@@ -277,22 +277,25 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
                     valid.append(x)
                 else:
                     skipped.append(SkippedPoint(bid, row.nu, row.n, row.mu, row.gamma, x, reason))
-            if not valid:
-                continue
-            spec, step = entry.integrand(row), row_step(bid, row)
-            direction = entry.direction_at(row)
-            results = oracle_row(spec.mu, spec.ord, spec.gamma)
-            for x in valid:
-                if not isinstance(result := results[x], BesselIntError):
-                    try:
-                        reports.append(_report(bid, row, x, direction, step(x), result, tol))
-                        continue
-                    except BesselIntError as exc:
-                        result = exc
-                reports.append(CheckReport(
-                    bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
-                    Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
-                    f"{type(result).__name__}: {result}"))
+            if valid:
+                plan.append((bid, row, valid, entry.integrand(row), entry.direction_at(row)))
+    keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)
+    integrals = {key: _oracle_row(*key, limits, oracle_tol)
+                 for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
+    reports: list[CheckReport] = []
+    for bid, row, valid, spec, direction in plan:
+        step, results = row_step(bid, row), integrals[spec.mu, spec.ord, spec.gamma]
+        for x in valid:
+            if not isinstance(result := results[x], BesselIntError):
+                try:
+                    reports.append(_report(bid, row, x, direction, step(x), result, tol))
+                    continue
+                except BesselIntError as exc:
+                    result = exc
+            reports.append(CheckReport(
+                bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
+                Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
+                f"{type(result).__name__}: {result}"))
     counts = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
     return SweepResult(reports=reports, skipped=skipped, counts=counts)
 

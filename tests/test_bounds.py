@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from besselint import bounds
 from besselint.bounds import (
     CATALOG,
     BoundEval,
@@ -17,6 +18,7 @@ from besselint.bounds import (
     geometric_tail_series,
     m_bound_constant,
     m_value,
+    row_step,
     x_star,
 )
 from besselint.errors import BesselIntError, InvalidDomain
@@ -201,6 +203,55 @@ class TestBoundValues:
             except BesselIntError:
                 continue
             assert isinstance(ev, BoundEval), (nu, n, mu, gamma, x)
+
+
+def _general_step(gamma, power, terms, x):
+    """The combination step for any number of terms, written out: ``math.fsum``
+    of the terms relative to the largest ``I``, with the prefactor as a log."""
+    pre = -gamma * x + power * math.log(x)
+    scaled = [(c * i.sign, i.log_abs) for c, order in terms
+              if c and (i := besseli(order, x)).sign]
+    top = max([log for _, log in scaled], default=0.0)
+    total = math.fsum([c * math.exp(log - top) for c, log in scaled])
+    sign = (total > 0) - (total < 0)
+    return sign, pre + top + math.log(abs(total)) if sign else -math.inf
+
+
+class TestOneTermStep:
+    # one term left forms its sign and log|c| once per row; the step must give
+    # the bits of the general formula
+    @pytest.mark.parametrize("terms", [
+        ((-2.5, 1.0),), ((1e-300, 1.0),), ((1e300, 1.0),), ((-1e300, 0.5),),
+        ((3.0, -1.5),),  # I_{-3/2} < 0 at small x
+        ((0.75, 2.0), (0.0, 4.0)),  # NEW1 and LOWER4 at n = -1: a zero term drops
+    ])
+    @pytest.mark.parametrize("gamma,power", [(0.0, 0.5), (0.9, -0.25)])
+    def test_matches_the_general_formula(self, terms, gamma, power):
+        step = bounds._combination(gamma, power, *terms)
+        for x in (1e-3, 0.37, 1.0, 20.0, 700.0):
+            assert step(x)[:2] == _general_step(gamma, power, terms, x), x
+
+    @pytest.mark.parametrize("c", [-2.5, 1e-300, 1e300])
+    def test_prefactor_underflow(self, c):
+        # 1e307 log(1e-300) is -inf: the log of the prefactor underflows
+        step = bounds._combination(0.0, 1e307, (c, 1.0))
+        assert step(1e-300)[:2] == _general_step(0.0, 1e307, ((c, 1.0),), 1e-300)
+        assert step(1e-300)[1] == -math.inf
+
+    @pytest.mark.parametrize("terms", [((math.inf, 1.0),), ((math.nan, 1.0), (0.0, 3.0))])
+    def test_non_finite_coefficient_raises_at_every_x(self, terms):
+        step = bounds._combination(0.5, 1.0, *terms)
+        message = f"cannot represent {terms[0][0]!r} as a ScaledValue"
+        for x in (1e-3, 1.0, 100.0):
+            with pytest.raises(InvalidDomain, match=f"^{message}$"):
+                step(x)
+
+    def test_non_finite_coefficient_in_a_row(self):
+        # MAIN's coefficient at nu = 1e308 is inf/inf
+        step = row_step(BoundId.MAIN, Point(nu=1e308))
+        for x in (0.25, 0.5, 1.0):
+            with pytest.raises(InvalidDomain, match="^cannot represent nan as a ScaledValue$"):
+                step(x)
 
 
 class TestOrderings:

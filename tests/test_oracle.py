@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import mpmath
 import pytest
 
 from besselint import kernel
+from besselint.bounds import m_value
 from besselint.errors import InvalidDomain, NonConvergence
 from besselint.oracle import (
     TOL_MAX,
@@ -184,6 +187,60 @@ def test_abs_err_covers_a_cancelling_head():
     # the rounding bound scales by sum |T_k| / |sum| and the result is not converged
     res = _covered(1.0, -1.5, 0.0, 2.2961623001686453 * (1 + 1e-9))
     assert not res.converged
+
+
+@pytest.mark.parametrize("x", [2.0, 20.0])
+def test_interleaved_p0_share_no_table(x):
+    # F(0, 0) and F(0.5, 0) have the same z = gamma x and the same number of
+    # terms, but p0 = 1 and 1.5: a table taken from the other p0 is far off
+    first = [_covered(mu, 0.0, 0.5, x) for mu in (0.0, 0.5)]
+    assert [_covered(mu, 0.0, 0.5, x) for mu in (0.0, 0.5)] == first
+
+
+def test_threads_get_only_their_own_p0_tables():
+    # the S tables are process state: threads that switch p0 under each other
+    # may rebuild a table, but must never read one of another p0
+    specs = [IntegralSpec(mu, 0.0, 0.5, x) for mu in (0.0, 0.5, 1.0, 1.5) for x in (2.0, 20.0)]
+    expected = [bessel_integral(spec) for spec in specs]
+    wrong, done = [], []
+
+    def work(shift):
+        for _ in range(100):
+            for i in range(len(specs)):
+                j = (i + shift) % len(specs)
+                if bessel_integral(specs[j]) != expected[j]:
+                    wrong.append(specs[j])
+        done.append(shift)  # a thread that raised never gets here
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6))
+    assert wrong == []
+
+
+class TestNonFiniteLimit:
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_integral(self, x):
+        with pytest.raises(InvalidDomain, match="upper limit must be finite and >= 0"):
+            bessel_integral(IntegralSpec(0.0, 0.0, 0.5, x))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_cumulative(self, x):
+        with pytest.raises(InvalidDomain, match="finite, strictly positive limits"):
+            cumulative_bessel_integral(0.0, 0.0, 0.5, [1.0, x])
+
+    def test_m_value(self):
+        with pytest.raises(InvalidDomain, match="upper limit must be finite and >= 0"):
+            m_value(0.0, -0.5, 0, math.inf)
 
 
 class TestCumulative:

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from besselint.bounds import CATALOG, BoundId, Direction, Point
 from besselint import cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
+from besselint.oracle import IntegralSpec, bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import (
     Grid,
@@ -156,6 +158,15 @@ class TestSweep:
                               "needs more than 100000 series terms")
         assert res.counts == {"holds": 1, "violated": 0, "inconclusive": 1}
 
+    def test_infinite_limit_fails_alone(self):
+        # x = inf is no upper limit of the integral; x = 1, on the same row, is
+        # checked as usual
+        res = sweep([BoundId.MAIN], Grid((0.0,), (0.5,), (1.0, math.inf)))
+        near, far = res.reports
+        assert (near.point.x, near.verdict, near.reason) == (1.0, Verdict.HOLDS, None)
+        assert (far.point.x, far.verdict) == (math.inf, Verdict.INCONCLUSIVE)
+        assert far.reason == "InvalidDomain: upper limit must be finite and >= 0, got inf"
+
     def test_failed_oracle_row_is_inconclusive(self, monkeypatch):
         g = Grid(nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
                  x_values=(1.0, 20.0))
@@ -166,10 +177,10 @@ class TestSweep:
         bad = (1.0, 1.0, 0.5, 20.0)
         real = oracle._series
 
-        def failing(mu, ordv, gamma, x, tol):
-            if (mu, ordv, gamma, x) == bad:
+        def failing(row, x, tol):  # the per-x step of a (mu, ord, gamma) row
+            if (*row[:3], x) == bad:
                 raise NonConvergence("F needs more than 100000 series terms")
-            return real(mu, ordv, gamma, x, tol)
+            return real(row, x, tol)
 
         monkeypatch.setattr(oracle, "_series", failing)
         res = sweep(ids, g)
@@ -350,3 +361,19 @@ def test_default_grid_shape():
     assert len(g.x_values) == 24
     assert len(g.n_values) == 4
     assert len(g.mu_values) == 5
+
+
+class TestSharedTables:
+    def test_grouped_rows_give_the_results_of_lone_integrals(self):
+        # a sweep runs its oracle rows grouped by mu + ord + 1, so that rows with
+        # one p0 share their S tables; every integral alone, after one at another
+        # p0 (1.125, which no integrand of the grid has), must give the same result
+        grouped = {}
+        for r in sweep(list(BoundId), default_grid()).reports:
+            if r.reason is None:
+                grouped[CATALOG[r.bound].integrand(r.point)] = r.oracle
+        assert len(grouped) == 11928
+        spacer = IntegralSpec(0.125, 0.0, 0.5, 1.0)
+        for spec, result in grouped.items():
+            bessel_integral(spacer, 1e-11)
+            assert bessel_integral(spec, 1e-11) == result
