@@ -162,6 +162,8 @@ def x_star(nu: float, gamma: float) -> float:
 
 #: orders covered by the first continued-fraction seed; each later block doubles
 _FIRST_RATIO_BLOCK = 8
+#: the ratio lists of the last nu, keyed by the full (nu, x)
+_ratio_lists: tuple[float, dict] = (math.nan, {})
 
 
 def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int, float]:
@@ -182,22 +184,27 @@ def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int
     K grows until the tail bound drops below 1e-12 times the partial sum.
     Every term is positive, so the truncation under-estimates.  The ratios
     come in blocks of 8, 16, 32, ... orders, each from one continued
-    fraction at its top order and the downward recurrence below it.
+    fraction at its top order and the downward recurrence below it.  They
+    depend on ``(nu, x)`` alone, so the lists of the last nu are kept and
+    shared by every gamma; a list grows by a new, longer list, never in place.
     """
+    global _ratio_lists
     if x <= 0:
         raise InvalidDomain(f"series needs x > 0, got {x}")
     if not 0.0 <= gamma < 1.0:
         raise InvalidDomain(f"series needs 0 <= gamma < 1, got {gamma}")
     if gamma == 0.0:
         return 1.0, 1, 0.0
-    ratios: list[float] = []  # ratios[k] = r_{nu+k+1}
-    block = _FIRST_RATIO_BLOCK
+    if (memo := _ratio_lists)[0] != nu:
+        memo = _ratio_lists = (nu, {})
+    lists, key = memo[1], (nu, x)
+    ratios = lists.get(key, ())  # ratios[k] = r_{nu+k+1}
     term = total = 1.0
     terms = 1
     while True:
-        if terms > len(ratios):
-            ratios += kernel.besseli_ratios(nu + len(ratios) + 1.0, block, x)
-            block *= 2
+        if terms > len(ratios):  # 8 more orders than it has: the list a lone call builds
+            ratios = lists[key] = [*ratios, *kernel.besseli_ratios(
+                nu + len(ratios) + 1.0, len(ratios) + _FIRST_RATIO_BLOCK, x)]
         q = gamma * ratios[terms - 1]
         tail = term * q / (1.0 - q)
         if tail <= _SERIES_TOL * total:

@@ -130,7 +130,7 @@ def power_series_sum(order: float, x2_4: float, factors):
     for k, ratio in enumerate(factors):
         c = order + k + 1.0
         q = x2_4 / ((k + 1) * c)
-        if c > 0.0 and q < 1.0:
+        if q < 1.0 and c > 0.0:
             tail = abs_t * q / (1.0 - q)
             if tail <= _U * abs(s):
                 return s, a, tail, shift, k + 1
@@ -370,8 +370,13 @@ def besseli_ratios(lo: float, count: int, x: float) -> list[float]:
     """``I_{m+1}(x)/I_m(x)`` for ``m = lo, lo+1, ..., lo+count-1``.
 
     One continued fraction at the top order seeds the downward recurrence
-    ``r_{m-1} = 1/(2m/x + r_m)``, the stable direction for I.
+    ``r_{m-1} = 1/(2m/x + r_m)``, the stable direction for I.  ``count = 0``
+    gives ``[]``.
     """
+    if count < 0:
+        raise InvalidDomain(f"besseli_ratios requires count >= 0, got {count}")
+    if count == 0:
+        return []
     r = besseli_ratio(lo + count - 1, x)
     block = [r]
     for i in range(count - 1, 0, -1):

@@ -30,7 +30,8 @@ same signed ratios and the rounding bound scales with the sum of
 
 A (mu, ord, gamma) row forms its x-free parts once, and its step sums one x.
 Rows with equal ``p0 = mu + ord + 1`` share the S tables, which depend on
-``(p0, z, n)`` alone: those of the last p0 stay until a row with another comes.
+``(p0, z, n)`` alone, and on p0 alone at z = 0: those of the last p0 stay
+until a row with another comes.  A result is one flat record.
 
 The closed forms (``antiderivative_gamma1``, the identity residuals) are
 computed through routes independent of the series so that each can
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import kernel
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
@@ -99,21 +101,26 @@ class IntegralSpec:
             raise InvalidDomain(f"upper limit must be finite and >= 0, got {self.x}")
 
 
-@dataclass(frozen=True, slots=True)
-class QuadResult:
-    """``value`` of F, an a-priori bound ``rel_err`` on its relative error,
-    the number of series terms summed (``segments``) and whether ``rel_err``
-    is within the requested tolerance (``converged``)."""
+class QuadResult(NamedTuple):
+    """F as ``(sign, log_abs)``, an a-priori bound ``rel_err`` on its relative
+    error, the number of series terms summed (``segments``) and whether
+    ``rel_err`` is within the requested tolerance (``converged``), flat;
+    ``value`` and ``abs_err`` are built when read."""
 
-    value: ScaledValue
+    sign: int
+    log_abs: float
     rel_err: float
     segments: int
     converged: bool
 
     @property
+    def value(self) -> ScaledValue:
+        return ScaledValue(self.sign, self.log_abs)
+
+    @property
     def abs_err(self) -> ScaledValue:
         """``|value| * rel_err``, zero when ``rel_err`` is."""
-        return (ScaledValue(1, self.value.log_abs + math.log(self.rel_err)) if self.rel_err
+        return (ScaledValue(1, self.log_abs + math.log(self.rel_err)) if self.rel_err
                 else ScaledValue.zero())
 
 
@@ -164,8 +171,9 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
     return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
 
 
-#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n),
-#: so that a row handed another thread's dict finds no table of another p0
+#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n)
+#: (by p0 for the z = 0 list), so that a row handed another thread's dict finds
+#: no table of another p0
 _s_tables: tuple[float, dict] = (math.nan, {})
 
 
@@ -195,10 +203,14 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
             raise NonConvergence(
                 f"F(mu={mu}, ord={order}, gamma={gamma}, x={x}) needs more than "
                 f"{_MAX_TERMS} series terms")
-        if (table := tables.get(key := (p0, z, n))) is None:  # S(p) = 1/p at z = 0
-            table = tables[key] = (_s_ratios(p0, z, n) if z > 0.0 else (
-                [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)], -math.log(p0), 0))
-        ratios, log_s0, steps = table
+        if z > 0.0:
+            if (table := tables.get(key := (p0, z, n))) is None:
+                table = tables[key] = _s_ratios(p0, z, n)
+            ratios, log_s0, steps = table
+        else:  # S(p) = 1/p, whatever n: one list per p0, replaced by a longer one
+            if len(ratios := tables.get(p0, ())) < n:
+                ratios = tables[p0] = [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)]
+            ratios, log_s0, steps = ratios[:n], -math.log(p0), 0
         summed = kernel.power_series_sum(order, 0.25 * x * x, ratios)
         if summed is not None:
             break
@@ -214,13 +226,16 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
     # + log(1 + z/p0), a factor of its own on each T_k; it moves F by up to e^log_err
     log_s = math.log(abs(s))
     linear = ((10 * terms + 10 * steps + 10 + 2 * abs(log_s)) * _U * a + tail) / abs(s)
-    log_err = 3 * _U * math.fsum(abs(v) for v in parts) * (a / abs(s))
+    log_err = 3 * _U * math.fsum(map(abs, parts)) * (a / abs(s))
     if not log_err < 709.0:
         raise InvalidDomain(f"F is past the representation: its log is uncertain by {log_err:.3g}")
     rel_err = linear + math.expm1(log_err) * (1.0 + linear)
-    sign = gamma_sign * (1 if s > 0 else -1)
-    value = ScaledValue.from_log(log_s + math.fsum(parts), sign)
-    return QuadResult(value, rel_err, terms, rel_err <= tol)
+    log = log_s + math.fsum(parts)
+    if not -math.inf < log < math.inf:  # ScaledValue.from_log's rules
+        if log == -math.inf:
+            return QuadResult(0, 0.0, rel_err, terms, rel_err <= tol)
+        raise InvalidDomain(f"non-finite log magnitude {log!r}")
+    return QuadResult(gamma_sign if s > 0 else -gamma_sign, log, rel_err, terms, rel_err <= tol)
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +246,9 @@ def cumulative_bessel_integral(mu: float, ord: float, gamma: float,
                                xs: list[float], tol: float = 1e-10) -> list[QuadResult]:
     """Evaluate the integral at every upper limit in ``xs``, in any order.
 
-    Each limit is its own series and the limits share only validation; a
-    limit whose series fails raises for the whole call.
+    Each limit is its own series; the limits share validation, the row's
+    x-free parts and its S tables.  A limit whose series fails raises for
+    the whole call.
     """
     check_tol(tol)
     if not xs:
@@ -249,7 +265,7 @@ def bessel_integral(spec: IntegralSpec, tol: float = 1e-10) -> QuadResult:
     check_tol(tol)
     spec.validate()
     if spec.x == 0.0:
-        return QuadResult(ScaledValue.zero(), 0.0, 0, True)
+        return QuadResult(0, 0.0, 0.0, 0, True)
     return _series(_row(spec.mu, spec.ord, spec.gamma), spec.x, tol)
 
 

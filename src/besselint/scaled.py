@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidDomain
 
-__all__ = ["ScaledValue", "exp_float"]
+__all__ = ["ScaledValue", "exp_float", "log_dict"]
 
 #: values with |log| below this render as a plain float without overflow
 _FLOAT_SAFE_LOG = 700.0
@@ -28,6 +28,13 @@ def exp_float(sign: int, log_abs: float) -> float:
     if sign == 0 or log_abs < -745.0:
         return 0.0
     return math.inf * sign if log_abs > _FLOAT_SAFE_LOG else sign * math.exp(log_abs)
+
+
+def log_dict(sign: int, log_abs: float) -> dict:
+    """``{sign, log_abs, decimal}`` of ``sign * exp(log_abs)``; ``decimal`` is None
+    unless the value renders as a plain float, i.e. ``|log_abs| < 700``."""
+    return {"sign": sign, "log_abs": log_abs,
+            "decimal": exp_float(sign, log_abs) if abs(log_abs) < _FLOAT_SAFE_LOG else None}
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,13 +85,8 @@ class ScaledValue:
         return exp_float(self.sign, self.log_abs)
 
     def to_dict(self) -> dict:
-        """``{sign, log_abs, decimal}``; ``decimal`` is None unless the value
-        renders as a plain float, i.e. ``|log_abs| < 700``."""
-        return {
-            "sign": self.sign,
-            "log_abs": self.log_abs,
-            "decimal": self.to_float() if abs(self.log_abs) < _FLOAT_SAFE_LOG else None,
-        }
+        """:func:`log_dict` of the value."""
+        return log_dict(self.sign, self.log_abs)
 
     def rel_gap(self, other: "ScaledValue") -> float:
         """|self - other| / max(|self|, |other|); 0.0 when both are zero."""

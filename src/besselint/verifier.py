@@ -11,6 +11,7 @@ equality point, so a margin inside the band is neither pass nor failure.
 Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
 once, grouped by mu + ord + 1: checks that share an integral share its oracle
 result, and an integral whose series fails turns only its checks INCONCLUSIVE.
+Each row's verdicts come from one loop, and a single check is a one-x row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import (
     CATALOG,
@@ -40,7 +41,7 @@ from .oracle import (
     check_tol,
     cumulative_bessel_integral,
 )
-from .scaled import ScaledValue, exp_float
+from .scaled import ScaledValue, exp_float, log_dict
 
 __all__ = [
     "Verdict",
@@ -60,7 +61,7 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
-_NO_ORACLE = QuadResult(ScaledValue.zero(), 0.0, 0, False)
+_NO_ORACLE = QuadResult(0, 0.0, 0.0, 0, False)
 
 
 class Verdict(Enum):
@@ -106,12 +107,13 @@ class CheckReport(NamedTuple):
         return ScaledValue(self.bound_sign, self.bound_log)
 
     def to_dict(self) -> dict:
+        o = self.oracle
         return {
             "bound": self.bound.value,
             "point": _point_dict(self),
-            "bound_value": self.bound_value.to_dict(),
-            "oracle_value": self.oracle.value.to_dict(),
-            "oracle_err": self.oracle.abs_err.to_dict(),
+            "bound_value": log_dict(self.bound_sign, self.bound_log),
+            "oracle_value": log_dict(o.sign, o.log_abs),
+            "oracle_err": o.abs_err.to_dict(),
             "verdict": self.verdict.value,
             "rel_margin": self.rel_margin,
             "uncertainty": self.uncertainty,
@@ -147,37 +149,43 @@ def _oracle_tol(tol: float) -> float:
     return max(tol / 10.0, TOL_MIN)
 
 
-def _margin(direction: Direction, ratio: float) -> float:
-    """Signed relative margin; positive means the inequality holds."""
-    if direction is Direction.UPPER:
-        return ratio - 1.0
-    if direction in (Direction.LOWER, Direction.REVERSED):
-        return 1.0 - ratio
-    return -abs(ratio - 1.0)  # equality: any gap counts against
-
-
-def _report(bid: BoundId, row: Point, x: float, direction: Direction,
-            value: tuple[int, float, int, float], oracle: QuadResult, tol: float) -> CheckReport:
-    """The verdict on the bound's :func:`row_step` ``value`` at ``x`` of ``row``."""
-    sign, log, _, share = value
-    o = oracle.value
-    if o.is_zero():
-        raise InvalidDomain("oracle integral is zero; no relative margin exists")
-    margin = _margin(direction, exp_float(sign * o.sign, log - o.log_abs))
-    # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
-    rounding = 2.0 ** -53 * (abs(log) + abs(o.log_abs))
-    unc = (oracle.rel_err + KERNEL_UNCERTAINTY
-           + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
-    if not oracle.converged:
-        unc = max(unc, tol)
-    if margin > unc:
-        verdict = Verdict.HOLDS
-    elif margin < -unc:
-        verdict = Verdict.VIOLATED
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log, oracle,
-                       verdict, margin, unc, direction)
+def _row_reports(bid: BoundId, row: Point, direction: Direction,
+                 step: Callable[[float], tuple[int, float, int, float]],
+                 results: Iterable[tuple[float, QuadResult | BesselIntError]],
+                 tol: float) -> list[CheckReport]:
+    """The verdicts on the bound's :func:`row_step` ``step`` at each ``(x, oracle
+    result)`` of ``results`` in ``row``.  An error, given in place of the oracle
+    result or raised by the step, makes its check INCONCLUSIVE with the reason."""
+    upper, equality = direction is Direction.UPPER, direction is Direction.EQUALITY
+    reports = []
+    for x, oracle in results:
+        if not isinstance(oracle, BesselIntError):
+            try:
+                sign, log, _, share = step(x)
+                if not oracle.sign:
+                    raise InvalidDomain("oracle integral is zero; no relative margin exists")
+                ratio = exp_float(sign * oracle.sign, log - oracle.log_abs)
+                # positive means the inequality holds; at an equality any gap counts
+                # against.  No sign factor: it would turn a zero margin into -0.0
+                margin = ratio - 1.0 if upper else -abs(ratio - 1.0) if equality else 1.0 - ratio
+                # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
+                rounding = 2.0 ** -53 * (abs(log) + abs(oracle.log_abs))
+                unc = (oracle.rel_err + KERNEL_UNCERTAINTY
+                       + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
+                if not oracle.converged:
+                    unc = max(unc, tol)
+                verdict = (Verdict.HOLDS if margin > unc else
+                           Verdict.VIOLATED if margin < -unc else Verdict.INCONCLUSIVE)
+                reports.append(CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log,
+                                           oracle, verdict, margin, unc, direction))
+                continue
+            except BesselIntError as exc:
+                oracle = exc
+        reports.append(CheckReport(
+            bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
+            Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
+            f"{type(oracle).__name__}: {oracle}"))
+    return reports
 
 
 def check_point(id: BoundId, point: Point, tol: float = 1e-10,
@@ -194,7 +202,7 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
           bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x))
     value = (ev.value.sign, ev.value.log_abs, ev.truncation_terms, ev.tail_share)
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
-    return _report(id, point, point.x, ev.direction, value, oracle, tol)
+    return _row_reports(id, point, ev.direction, lambda x: value, [(point.x, oracle)], tol)[0]
 
 
 # ----------------------------------------------------------------------
@@ -284,19 +292,11 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
                  for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
     reports: list[CheckReport] = []
     for bid, row, valid, spec, direction in plan:
-        step, results = row_step(bid, row), integrals[spec.mu, spec.ord, spec.gamma]
-        for x in valid:
-            if not isinstance(result := results[x], BesselIntError):
-                try:
-                    reports.append(_report(bid, row, x, direction, step(x), result, tol))
-                    continue
-                except BesselIntError as exc:
-                    result = exc
-            reports.append(CheckReport(
-                bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
-                Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
-                f"{type(result).__name__}: {result}"))
-    counts = {v.value: sum(r.verdict is v for r in reports) for v in Verdict}
+        results = integrals[spec.mu, spec.ord, spec.gamma]
+        reports += _row_reports(bid, row, direction, row_step(bid, row),
+                                zip(valid, map(results.__getitem__, valid)), tol)
+    verdicts = [r.verdict for r in reports]
+    counts = {v.value: verdicts.count(v) for v in Verdict}
     return SweepResult(reports=reports, skipped=skipped, counts=counts)
 
 

@@ -27,7 +27,7 @@ from besselint.oracle import bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import default_grid, logspace
 
-from conftest import sv_relerr
+from conftest import sv_relerr, threads_disagree
 
 TWO_I_1_2 = 3.1812737092746581
 
@@ -351,6 +351,26 @@ class TestSeriesBounds:
             assert tail <= 1e-12 * total, case
         # the old bound needed about 3 200 terms here
         assert geometric_tail_series(0.0, 0.99, 1e-3)[1] <= 10
+
+    @pytest.mark.parametrize("nu, x", [(0.0, 200.0), (2.5, 5.0), (-0.49, 50.0)])
+    def test_shared_ratio_lists_do_not_depend_on_the_call_order(self, nu, x):
+        # the ratio lists of the last nu serve every gamma: 0.99 needs a longer
+        # list than 0.1, and whichever comes first, each gives its lone call's result
+        def after_a_nu_change(gammas):
+            geometric_tail_series(nu + 1.0, 0.5, x)  # the lists of nu start empty
+            return {gamma: geometric_tail_series(nu, gamma, x) for gamma in gammas}
+
+        alone = {**after_a_nu_change([0.99]), **after_a_nu_change([0.1])}
+        assert alone[0.99][1] > 2 * alone[0.1][1]
+        assert after_a_nu_change([0.99, 0.1]) == alone
+        assert after_a_nu_change([0.1, 0.99]) == alone
+
+    def test_threads_share_only_whole_ratio_lists(self):
+        # the lists are process state: threads that switch nu under each other may
+        # rebuild a list, but never read one that another thread grew in place
+        cases = [(nu, gamma, x) for nu in (0.0, 0.5, 2.5, 10.0) for x in (5.0, 200.0)
+                 for gamma in (0.1, 0.5, 0.99)]
+        assert threads_disagree(geometric_tail_series, cases, passes=20) == []
 
     def test_ratio_decreases_in_order(self):
         # the certificate rests on I_{m+1}(x)/I_m(x) decreasing in m; check it

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from besselint.errors import InvalidDomain, InvalidOrder, NonConvergence
 from besselint.kernel import (
     _RATIO_TERMS, ACCURACY_LARGE_X, ACCURACY_SMALL_X, _besselk_debye_log, asym_large,
-    asym_small, besseli, besseli_ratio, besselk,
+    asym_small, besseli, besseli_ratio, besseli_ratios, besselk,
 )
 
 from conftest import log_relerr, sv_relerr
@@ -286,6 +286,15 @@ class TestRatio:
     def test_rejects_non_finite_input(self, nu, x):
         with pytest.raises(InvalidDomain):
             besseli_ratio(nu, x)
+
+    @pytest.mark.parametrize("lo", [1.0, -0.4])
+    def test_no_ratios_for_count_zero(self, lo):
+        assert besseli_ratios(lo, 0, 1.0) == []
+
+    @pytest.mark.parametrize("lo, count", [(1.0, -3), (-0.4, -1)])
+    def test_negative_count_is_named(self, lo, count):
+        with pytest.raises(InvalidDomain, match=f"requires count >= 0, got {count}$"):
+            besseli_ratios(lo, count, 1.0)
 
 
 class TestAsymptotics:

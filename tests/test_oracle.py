@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 import tracemalloc
 
 import mpmath
@@ -24,7 +22,7 @@ from besselint.oracle import (
 )
 from besselint.scaled import ScaledValue
 
-from conftest import sv_relerr
+from conftest import sv_relerr, threads_disagree
 
 # values frozen from an mpmath tanh-sinh quadrature oracle (25 digits),
 # independent of the series under test
@@ -200,31 +198,45 @@ def test_interleaved_p0_share_no_table(x):
 def test_threads_get_only_their_own_p0_tables():
     # the S tables are process state: threads that switch p0 under each other
     # may rebuild a table, but must never read one of another p0
-    specs = [IntegralSpec(mu, 0.0, 0.5, x) for mu in (0.0, 0.5, 1.0, 1.5) for x in (2.0, 20.0)]
-    expected = [bessel_integral(spec) for spec in specs]
-    wrong, done = [], []
+    specs = [(IntegralSpec(mu, 0.0, 0.5, x),) for mu in (0.0, 0.5, 1.0, 1.5) for x in (2.0, 20.0)]
+    assert threads_disagree(bessel_integral, specs, passes=100) == []
 
-    def work(shift):
-        for _ in range(100):
-            for i in range(len(specs)):
-                j = (i + shift) % len(specs)
-                if bessel_integral(specs[j]) != expected[j]:
-                    wrong.append(specs[j])
-        done.append(shift)  # a thread that raised never gets here
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(done) == list(range(6))
-    assert wrong == []
+@pytest.mark.parametrize("mu", [0.0, -0.5])
+def test_gamma_zero_list_serves_every_limit(mu):
+    # at gamma = 0, S(p) = 1/p whatever the number of terms, so p0 keeps one list,
+    # replaced by a longer one: x = 200 needs a longer list than x = 2, and
+    # whichever comes first, each limit gives its lone integral's result
+    spacer = IntegralSpec(0.125, 0.0, 0.0, 1.0)  # another p0: the list starts empty
+
+    def after_a_p0_change(xs):
+        bessel_integral(spacer)
+        return {x: bessel_integral(IntegralSpec(mu, 0.0, 0.0, x)) for x in xs}
+
+    alone = {**after_a_p0_change([200.0]), **after_a_p0_change([2.0])}
+    assert after_a_p0_change([200.0, 2.0]) == alone
+    assert after_a_p0_change([2.0, 200.0]) == alone
+
+
+def test_threads_get_whole_gamma_zero_lists():
+    # threads that grow one p0's gamma = 0 list under each other may replace it,
+    # but never read one that another thread grew in place
+    specs = [(IntegralSpec(mu, 0.0, 0.0, x),) for mu in (0.0, 0.5) for x in (2.0, 20.0, 200.0)]
+    assert threads_disagree(bessel_integral, specs, passes=100) == []
+
+
+class TestFlatResult:
+    @pytest.mark.parametrize("spec", [IntegralSpec(0.5, 0.5, 0.3, 5.0),
+                                      IntegralSpec(1.0, -1.5, 0.0, 1.0)])
+    def test_value_and_abs_err_are_built_from_the_fields(self, spec):
+        res = bessel_integral(spec)
+        assert res.value == ScaledValue(res.sign, res.log_abs)
+        assert res.abs_err == ScaledValue(1, res.log_abs + math.log(res.rel_err))
+
+    def test_empty_range(self):
+        res = bessel_integral(IntegralSpec(0, 0, 0.5, 0))
+        assert res == (0, 0.0, 0.0, 0, True)
+        assert (res.value, res.abs_err) == (ScaledValue.zero(), ScaledValue.zero())
 
 
 class TestNonFiniteLimit:

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from besselint.bounds import CATALOG, BoundId, Direction, Point
 from besselint import cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
-from besselint.oracle import IntegralSpec, bessel_integral
+from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import (
     Grid,
@@ -95,6 +95,27 @@ class TestCheckPoint:
         out = io.StringIO()
         assert cli.run("check --bound main --nu 0 --gamma 0.3 --x 2".split(), out=out) == 0
         assert json.loads(out.getvalue())["results"] == [r.to_dict()]
+
+
+class TestZeroMargin:
+    """A bound equal to its integral: the margin is +0.0 for UPPER, LOWER and
+    REVERSED, and -0.0 for EQUALITY, where any gap counts against."""
+
+    @pytest.mark.parametrize("bid, point, direction, sign", [
+        (BoundId.MAIN, Point(1.0, gamma=0.5, x=5.0), Direction.UPPER, 1.0),
+        (BoundId.LOWER3, Point(1.0, gamma=0.5, x=5.0), Direction.LOWER, 1.0),
+        (BoundId.NEW1, Point(2.0, n=-2.0, x=5.0), Direction.REVERSED, 1.0),
+        (BoundId.NEW1, Point(1.0, n=-1.0, x=5.0), Direction.EQUALITY, -1.0),
+    ])
+    def test_equal_logs_give_a_signed_zero(self, monkeypatch, bid, point, direction, sign):
+        o = bessel_integral(CATALOG[bid].integrand(point), 1e-11)  # the oracle at tol/10
+        monkeypatch.setitem(CATALOG, bid, replace(
+            CATALOG[bid], evaluate_row=lambda row: lambda x: (o.sign, o.log_abs, 0, 0.0)))
+        grid = Grid((point.nu,), (point.gamma,), (point.x,), n_values=(point.n,))
+        (swept,) = sweep([bid], grid).reports
+        for r in (swept, check_point(bid, point)):
+            assert (r.direction, r.bound_log, r.oracle) == (direction, o.log_abs, o)
+            assert r.rel_margin == 0.0 and math.copysign(1.0, r.rel_margin) == sign
 
 
 class TestSweep:
@@ -263,6 +284,15 @@ class TestFlatRecords:
             assert r.bound_value == ScaledValue(r.bound_sign, r.bound_log)
         for s in res.skipped:
             assert s.point == Point(s.nu, s.n, s.mu, s.gamma, s.x)
+
+    def test_default_grid_result_keeps_no_scaled_value(self):
+        # an oracle result is one flat record too: its value is built when read
+        res = sweep(list(BoundId), default_grid())
+        fields = [o for r in res.reports for o in gc.get_referents(r)]
+        results = [o for o in fields if type(o) is QuadResult]
+        assert len(results) == len(res.reports)
+        held = fields + [o for q in results for o in gc.get_referents(q)]
+        assert not any(type(o) is ScaledValue for o in held)
 
     def test_fields_are_read_only(self):
         res = sweep(self.IDS, self.GRID)
