@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import kernel
 from .errors import InvalidDomain
@@ -74,7 +74,6 @@ __all__ = [
     "c_nu",
     "x_star",
     "bound_value",
-    "bound_row",
     "row_step",
     "check_row",
     "geometric_tail_series",
@@ -123,17 +122,21 @@ class Point:
     x: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class BoundEval:
-    """A bound's value at a point; ``tail_share`` is the certified share of the
-    value that a truncated series leaves out (0.0 for a closed form)."""
+class BoundEval(NamedTuple):
+    """A bound's value at a point, flat: a :func:`row_step` step's ``(sign, log_abs,
+    truncation_terms, tail_share)`` and the point's direction; ``tail_share`` is the
+    certified share of the value that a truncated series leaves out (0.0 for a
+    closed form), and ``value`` is built when read."""
 
-    bound: "BoundId"
-    point: Point
-    value: ScaledValue
+    sign: int
+    log_abs: float
+    truncation_terms: int
+    tail_share: float
     direction: Direction
-    truncation_terms: int = 0
-    tail_share: float = 0.0
+
+    @property
+    def value(self) -> ScaledValue:
+        return ScaledValue(self.sign, self.log_abs)
 
 
 def c_nu(nu: float) -> float:
@@ -490,26 +493,13 @@ def row_step(id: BoundId, row: Point) -> Callable[[float], tuple[int, float, int
     return step
 
 
-def bound_row(id: BoundId, row: Point) -> Callable[[float], BoundEval]:
-    """:func:`row_step` as a :class:`BoundEval` at each x, with the row's
-    direction (exploratory mode, e.g. probing PROP1 beyond its validity)."""
-    step, direction = row_step(id, row), CATALOG[id].direction_at(row)
-
-    def at(x: float) -> BoundEval:
-        sign, log, terms, share = step(x)
-        # bound_value's step is at the row's own x, so it needs no second Point
-        point = row if x is row.x else Point(row.nu, row.n, row.mu, row.gamma, x)
-        return BoundEval(id, point, ScaledValue(sign, log), direction, terms, share)
-    return at
-
-
 def bound_value(id: BoundId, nu: float, n: float = 0.0, mu: Optional[float] = None,
                 gamma: float = 0.0, x: float = 1.0) -> BoundEval:
     """One catalog bound at a parameter point inside its hypotheses: :func:`check_row`,
-    then a :func:`bound_row` step.  Violated hypotheses raise :class:`InvalidDomain`."""
+    then one :func:`row_step` step.  Violated hypotheses raise :class:`InvalidDomain`."""
     point = Point(nu, n, mu, gamma, x)
     check_row(id, point, (x,))
-    return bound_row(id, point)(x)
+    return BoundEval(*row_step(id, point)(x), CATALOG[id].direction_at(point))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,8 @@ iterators, so each is made as it is written.  :func:`run` is the only place
 that writes output.
 
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
-VIOLATED, 2 usage error, 3 numerical failure.
+VIOLATED, 2 usage error, 3 numerical failure; a reader that closes stdout
+early changes none of them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator
 from typing import Optional
@@ -251,15 +253,20 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         print(f"besselint {args.verb}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, InvalidDomain) else EXIT_NUMERICAL
 
-    if args.format == "json":
-        _write_json(out, {"command": args.verb, "parameters": parameters, **body()})
-    else:
-        records = iter(records)
-        first = next(records, None)
-        if first is not None:
-            writer = csv.writer(out)
-            writer.writerow(_columns(first))
-            writer.writerows(map(_csv_row, itertools.chain([first], records)))
+    try:
+        if args.format == "json":
+            _write_json(out, {"command": args.verb, "parameters": parameters, **body()})
+        else:
+            records = iter(records)
+            first = next(records, None)
+            if first is not None:
+                writer = csv.writer(out)
+                writer.writerow(_columns(first))
+                writer.writerows(map(_csv_row, itertools.chain([first], records)))
+        if out is sys.stdout:  # a reader that closed early shows here, not at exit
+            out.flush()
+    except BrokenPipeError:  # the reader is done: the rest, and the flush at exit, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return code
 
 

@@ -30,8 +30,8 @@ same signed ratios and the rounding bound scales with the sum of
 
 A (mu, ord, gamma) row forms its x-free parts once, and its step sums one x.
 Rows with equal ``p0 = mu + ord + 1`` share the S tables, which depend on
-``(p0, z, n)`` alone, and on p0 alone at z = 0: those of the last p0 stay
-until a row with another comes.  A result is one flat record.
+``(p0, z, n)`` alone (at z = 0, ``S(p) = 1/p`` needs no recurrence): those of
+the last p0 stay until a row with another comes.  A result is one flat record.
 
 The closed forms (``antiderivative_gamma1``, the identity residuals) are
 computed through routes independent of the series so that each can
@@ -171,9 +171,8 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
     return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
 
 
-#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n)
-#: (by p0 for the z = 0 list), so that a row handed another thread's dict finds
-#: no table of another p0
+#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n),
+#: so that a row handed another thread's dict finds no table of another p0
 _s_tables: tuple[float, dict] = (math.nan, {})
 
 
@@ -203,14 +202,11 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
             raise NonConvergence(
                 f"F(mu={mu}, ord={order}, gamma={gamma}, x={x}) needs more than "
                 f"{_MAX_TERMS} series terms")
-        if z > 0.0:
-            if (table := tables.get(key := (p0, z, n))) is None:
-                table = tables[key] = _s_ratios(p0, z, n)
-            ratios, log_s0, steps = table
-        else:  # S(p) = 1/p, whatever n: one list per p0, replaced by a longer one
-            if len(ratios := tables.get(p0, ())) < n:
-                ratios = tables[p0] = [(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)]
-            ratios, log_s0, steps = ratios[:n], -math.log(p0), 0
+        if (table := tables.get(key := (p0, z, n))) is None:
+            table = tables[key] = (_s_ratios(p0, z, n) if z > 0.0 else  # at z = 0, S(p) = 1/p
+                                   ([(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)],
+                                    -math.log(p0), 0))
+        ratios, log_s0, steps = table
         summed = kernel.power_series_sum(order, 0.25 * x * x, ratios)
         if summed is not None:
             break

@@ -77,9 +77,6 @@ class ScaledValue:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def to_float(self) -> float:
         """Nearest float; overflows to +-inf rather than raising."""
         return exp_float(self.sign, self.log_abs)

@@ -27,7 +27,6 @@ from .bounds import (
     BoundId,
     Direction,
     Point,
-    bound_row,
     bound_value,
     check_row,
     row_step,
@@ -192,17 +191,18 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
                 exploratory: bool = False) -> CheckReport:
     """Verdict for one bound at one point; oracle runs at tol/10.
 
-    ``exploratory=True`` evaluates the unchecked :func:`bound_row` step, so
-    that a bound can be probed outside its hypotheses (e.g. PROP1 with
-    mu < 1/2, which is expected to flip at large x); ``x <= 0`` still raises
-    :class:`InvalidDomain`.
+    The bound is :func:`bound_value`, or with ``exploratory=True`` one unchecked
+    :func:`row_step` step, so that a bound can be probed outside its hypotheses
+    (e.g. PROP1 with mu < 1/2, which is expected to flip at large x); either
+    runs before the oracle, and its :class:`InvalidDomain` (``x <= 0``, or a
+    closed form undefined at the point) propagates.
     """
     check_tol(tol)
-    ev = (bound_row(id, point)(point.x) if exploratory else
-          bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x))
-    value = (ev.value.sign, ev.value.log_abs, ev.truncation_terms, ev.tail_share)
+    value = (row_step(id, point)(point.x) if exploratory else
+             bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x)[:4])
     oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
-    return _row_reports(id, point, ev.direction, lambda x: value, [(point.x, oracle)], tol)[0]
+    return _row_reports(id, point, CATALOG[id].direction_at(point), lambda x: value,
+                        [(point.x, oracle)], tol)[0]
 
 
 # ----------------------------------------------------------------------
@@ -341,10 +341,11 @@ def tightness_scan(id: BoundId, template: Point, x_sequence: Sequence[float]) ->
     The caller asserts the monotone approach to 1 in the claimed limit.
     """
     check_row(id, template, x_sequence)  # every x, before any oracle work
-    evals = list(map(bound_row(id, template), x_sequence))
+    steps = list(map(row_step(id, template), x_sequence))
     spec = CATALOG[id].integrand(template)  # every point shares it up to x
     oracle = cumulative_bessel_integral(spec.mu, spec.ord, spec.gamma, list(x_sequence))
-    return [(ev.value / qr.value).to_float() for ev, qr in zip(evals, oracle)]
+    return [exp_float(sign * f.sign, log - f.log_abs)
+            for (sign, log, _, _), f in zip(steps, oracle)]
 
 
 def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> Optional[float]:
@@ -355,7 +356,7 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
     large enough x; if none is found below ``x_max``, :class:`NotFound`
     reports the range searched.  Bisection refines the bracket to relative
     width 1e-6.  The comparison term is the PROP1 bound, evaluated outside
-    its hypotheses where needed (one unchecked :func:`bound_row`).
+    its hypotheses where needed (one unchecked :func:`row_step`).
     """
     if not mu + nu > -1.0:
         raise InvalidDomain(f"needs mu + nu > -1, got {mu + nu}")
@@ -365,10 +366,11 @@ def find_crossover(mu: float, nu: float, gamma: float, x_max: float = 500.0) -> 
         raise InvalidDomain(f"needs x_max/10 > 0, got x_max={x_max}")
     if mu >= nu >= 0.5:
         return None
-    prop1 = bound_row(BoundId.PROP1, Point(nu, mu=mu, gamma=gamma))
+    prop1 = row_step(BoundId.PROP1, Point(nu, mu=mu, gamma=gamma))
 
     def defect_sign(x: float) -> int:
-        return (bessel_integral(IntegralSpec(mu, nu, gamma, x)).value - prop1(x).value).sign
+        f = bessel_integral(IntegralSpec(mu, nu, gamma, x)).value
+        return (f - ScaledValue(*prop1(x)[:2])).sign
 
     a = min(0.1, x_max / 10.0)
     s_a = defect_sign(a)

@@ -572,6 +572,31 @@ class TestHugeFiniteInputs:
         assert proc.stderr.count("\n") == 1
 
 
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with the verb's exit code
+    and nothing on stderr, not even at the interpreter's final flush."""
+
+    @pytest.mark.parametrize("argv, code", [
+        ("sweep --bounds main --format csv", 0),
+        ("sweep --bounds main", 0),
+        ("check --bound prop1 --nu 0 --mu 0 --gamma 0 --x 200 --exploratory", 1),
+    ], ids=["csv", "json", "violated"])
+    def test_verb_keeps_its_exit_code(self, argv, code):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        with subprocess.Popen([sys.executable, "-m", "besselint", *argv.split()],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                proc.stdout.read(10)
+                proc.stdout.close()
+                returncode = proc.wait(timeout=60)
+            finally:
+                proc.kill()  # nothing to do once it has exited
+            err = proc.stderr.read()
+        assert (returncode, err) == (code, b"")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         env = dict(os.environ)

@@ -204,10 +204,10 @@ def test_threads_get_only_their_own_p0_tables():
 
 @pytest.mark.parametrize("mu", [0.0, -0.5])
 def test_gamma_zero_list_serves_every_limit(mu):
-    # at gamma = 0, S(p) = 1/p whatever the number of terms, so p0 keeps one list,
-    # replaced by a longer one: x = 200 needs a longer list than x = 2, and
-    # whichever comes first, each limit gives its lone integral's result
-    spacer = IntegralSpec(0.125, 0.0, 0.0, 1.0)  # another p0: the list starts empty
+    # at gamma = 0, S(p) = 1/p, so p0's table for n terms is the n ratios
+    # p/(p + 2): x = 200 needs more than x = 2, and whichever comes first,
+    # each limit gives its lone integral's result
+    spacer = IntegralSpec(0.125, 0.0, 0.0, 1.0)  # another p0: the tables start empty
 
     def after_a_p0_change(xs):
         bessel_integral(spacer)
@@ -219,8 +219,8 @@ def test_gamma_zero_list_serves_every_limit(mu):
 
 
 def test_threads_get_whole_gamma_zero_lists():
-    # threads that grow one p0's gamma = 0 list under each other may replace it,
-    # but never read one that another thread grew in place
+    # threads that add p0's gamma = 0 tables under each other may replace one,
+    # but never read one that another thread is still building
     specs = [(IntegralSpec(mu, 0.0, 0.0, x),) for mu in (0.0, 0.5) for x in (2.0, 20.0, 200.0)]
     assert threads_disagree(bessel_integral, specs, passes=100) == []
 

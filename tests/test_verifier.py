@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from besselint.bounds import CATALOG, BoundId, Direction, Point
+from besselint.bounds import CATALOG, BoundId, Direction, Point, bound_value, row_step
 from besselint import cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
@@ -95,6 +95,22 @@ class TestCheckPoint:
         out = io.StringIO()
         assert cli.run("check --bound main --nu 0 --gamma 0.3 --x 2".split(), out=out) == 0
         assert json.loads(out.getvalue())["results"] == [r.to_dict()]
+
+    @pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
+    def test_checked_and_exploratory_checks_agree(self, bid):
+        # inside the hypotheses the checked route (bound_value) and the exploratory
+        # one (a bare row_step step) must give the same bound and the same report
+        entry = CATALOG[bid]
+        gamma = 0.0 if bid in (BoundId.TWOSIDED_L, BoundId.TWOSIDED_U) else 0.5
+        for x in (0.5, 20.0):
+            point = Point(1.0, 0.5 if entry.uses_n else 0.0, 1.5 if entry.uses_mu else None,
+                          gamma, x)
+            assert entry.invalid_reason(point) is None
+            assert (check_point(bid, point, exploratory=True).to_dict()
+                    == check_point(bid, point).to_dict())
+            ev = bound_value(bid, point.nu, point.n, point.mu, point.gamma, x)
+            assert ev[:4] == row_step(bid, point)(x)
+            assert ev.direction is entry.direction_at(point)
 
 
 class TestZeroMargin:
