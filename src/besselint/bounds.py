@@ -5,8 +5,10 @@ Every bound in the catalog targets an integral of the form
 (bound, nu, n, mu, gamma) row's x-free coefficients once, and its step at each
 x gives a ``(sign, log)`` pair: the prefactor ``e^(-gamma x) x^power`` is a log
 term and the Bessel combination one ``math.fsum`` scaled by its largest ``I``,
-so nothing overflows.  NEED2's ``2(v+1)/x``, the LOWER2/INTINEQ0 bracket and
-the LOWER1/LOWER3 series (floats relative to ``I_{v+1}``) stay per x.
+so nothing overflows.  Every coefficient is fixed per row but three, each its
+bound's first: NEED2's ``(2(v+1)/x + g)/(2v+1)``, the LOWER2/INTINEQ0 bracket and
+the LOWER1/LOWER3 series (a float relative to ``I_{v+1}``) are formed per x and
+passed into the row's one combination step (see :func:`_combination`).
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -255,34 +257,70 @@ def _lower(p: Point) -> Direction:
     return Direction.LOWER
 
 
-def _combination(gamma: float, power: float, *terms: tuple[float, float]):
+def _combination(gamma: float, power: float, *terms: tuple[Optional[float], float]):
     """The step of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms`` ``(c_i, o_i)``:
-    ``math.fsum`` adds the terms relative to the largest ``I_i`` with
-    ``c_i != 0``.  A log or a coefficient that is not finite raises the
-    :class:`InvalidDomain` that a ScaledValue made from it would; a lone finite ``c != 0``
-    has its sign and ``log|c|`` formed once per row, in the same float expression."""
-    live = [(c, order) for c, order in terms if c]
-    if one := len(live) == 1 and math.isfinite(c := live[0][0]):
-        one_order, one_sign, log_c = live[0][1], (c > 0) - (c < 0), math.log(abs(c))
+    ``math.fsum`` adds the terms relative to the largest ``I_i`` with ``c_i != 0``.
+    A ``c_i`` of None (the first term's only) is formed per x and passed as the
+    step's ``c``.  A log or a coefficient that is not finite raises the
+    :class:`InvalidDomain` that a ScaledValue made from it would.  The live terms
+    are found once per row, and their count picks the step: one term has its own,
+    and two or three share a fixed-arity one; both form the general step's floats
+    without a list.  A lone fixed ``c != 0`` has its sign and ``log|c|`` formed
+    once per row."""
 
-    def step(x: float):
-        pre = -gamma * x + power * math.log(x)
-        if math.isnan(pre) or pre == math.inf:  # -inf is an underflow to zero
-            raise InvalidDomain(f"non-finite log magnitude {pre!r}")
-        if one:
-            i = kernel.besseli(one_order, x)
-            return one_sign * i.sign, pre + i.log_abs + log_c if i.sign else -math.inf, 0, 0.0
+    def general(x: float, c: Optional[float] = None):
+        pre = _log_prefactor(gamma, power, x)
         scaled = []
-        for c, order in terms:
-            if not math.isfinite(c):
-                raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
-            if c and (i := kernel.besseli(order, x)).sign:
-                scaled.append((c * i.sign, i.log_abs))
+        for a, order in terms:
+            if not math.isfinite(a := c if a is None else a):
+                raise InvalidDomain(f"cannot represent {a!r} as a ScaledValue")
+            if a and (i := kernel.besseli(order, x)).sign:
+                scaled.append((a * i.sign, i.log_abs))
         top = max([log for _, log in scaled], default=0.0)
-        total = math.fsum([c * math.exp(log - top) for c, log in scaled])
+        total = math.fsum([a * math.exp(log - top) for a, log in scaled])
         sign = (total > 0) - (total < 0)
         return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, 0.0
-    return step
+
+    live = [(c, order) for c, order in terms if c is None or c]
+    if not 0 < len(live) <= 3 or not all(c is None or math.isfinite(c) for c, _ in live):
+        return general
+    # padded to three: a missing term is 0 times I_{o0}, an exact zero in the fsum
+    (c0, o0), (c1, o1), (c2, o2) = live + [(0.0, live[0][1])] * (3 - len(live))
+    if len(live) == 1:
+        s0, log_c0 = (0, 0.0) if c0 is None else ((c0 > 0) - (c0 < 0), math.log(abs(c0)))
+
+        def one(x: float, c: Optional[float] = c0):
+            pre = _log_prefactor(gamma, power, x)
+            if c is not c0 and not (c and math.isfinite(c)):
+                return general(x, c)
+            sign_c, log_c = (s0, log_c0) if c is c0 else ((c > 0) - (c < 0), math.log(abs(c)))
+            i = kernel.besseli(o0, x)
+            return sign_c * i.sign, pre + i.log_abs + log_c if i.sign else -math.inf, 0, 0.0
+        return one
+
+    def several(x: float, c: Optional[float] = c0):
+        pre = _log_prefactor(gamma, power, x)
+        if c is not c0 and not (c and math.isfinite(c)):
+            return general(x, c)
+        i, j = kernel.besseli(o0, x), kernel.besseli(o1, x)
+        k = kernel.besseli(o2, x) if c2 else i
+        if not (i.sign and j.sign and k.sign):
+            return general(x, c)
+        top = max(i.log_abs, j.log_abs, k.log_abs)
+        total = math.fsum((c * i.sign * math.exp(i.log_abs - top),
+                           c1 * j.sign * math.exp(j.log_abs - top),
+                           c2 * k.sign * math.exp(k.log_abs - top)))
+        sign = (total > 0) - (total < 0)
+        return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, 0.0
+    return several
+
+
+def _log_prefactor(gamma: float, power: float, x: float) -> float:
+    """``log(e^-gx x^power)``; NaN or +inf raises (-inf is an underflow to zero)."""
+    pre = -gamma * x + power * math.log(x)
+    if math.isnan(pre) or pre == math.inf:
+        raise InvalidDomain(f"non-finite log magnitude {pre!r}")
+    return pre
 
 
 def _family_nu_nu(p: Point) -> IntegralSpec:
@@ -373,9 +411,11 @@ def _ok_gamma_zero(p: Point) -> Optional[str]:
 def _geometric(power_offset: float):
     """Row evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
     def evaluate_row(p: Point):
+        combination = _combination(p.gamma, p.nu + power_offset, (None, p.nu + 1.0))
+
         def step(x: float):
             total, terms, tail = geometric_tail_series(p.nu, p.gamma, x)
-            sign, log, _, _ = _combination(p.gamma, p.nu + power_offset, (total, p.nu + 1.0))(x)
+            sign, log, _, _ = combination(x, total)
             return sign, log, terms, tail / total
         return step
     return evaluate_row
@@ -390,9 +430,13 @@ def _lower1_direction(p: Point) -> Direction:
 # -- reciprocal-x corrected lower bounds ---------------------------------
 
 def _v_lower2_like(p: Point):
-    num, den = 2.0 * p.nu * (2.0 * p.nu + c_nu(p.nu - 1.0)), (2.0 * p.nu - 1.0) * (1.0 - p.gamma)
-    return lambda x: _combination(  # the bracket is 1 - num/(den x)
-        p.gamma, p.nu, ((1.0 - num / (den * x)) / (1.0 - p.gamma), p.nu))(x)
+    nu2, c = 2.0 * p.nu, c_nu(p.nu - 1.0)
+    num, den = nu2 * (nu2 + c), (nu2 - 1.0) * (1.0 - p.gamma)
+    if num == math.inf:  # past nu ~ 1e154 only the ratios of the factors are finite
+        num, den = nu2 / (nu2 - 1.0) * ((nu2 + c) / (1.0 - p.gamma)), 1.0
+    combination = _combination(p.gamma, p.nu, (None, p.nu))
+    # the bracket is 1 - num/(den x)
+    return lambda x: combination(x, (1.0 - num / (den * x)) / (1.0 - p.gamma))
 
 
 # -- remaining individual bounds -----------------------------------------
@@ -414,8 +458,8 @@ def _v_prop1(p: Point):
 def _v_need2(p: Point):
     d = 2.0 * p.nu + 1.0
     a, g2 = 2.0 * (p.nu + 1.0), p.gamma * p.gamma / d
-    return lambda x: _combination(
-        p.gamma, p.nu + 1.0, ((a / x + p.gamma) / d, p.nu + 1.0), (g2, p.nu + 2.0))(x)
+    combination = _combination(p.gamma, p.nu + 1.0, (None, p.nu + 1.0), (g2, p.nu + 2.0))
+    return lambda x: combination(x, (a / x + p.gamma) / d)
 
 
 def _ok_day(p: Point) -> Optional[str]:

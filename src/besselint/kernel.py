@@ -127,6 +127,17 @@ def power_series_sum(order: float, x2_4: float, factors):
     """
     t = s = a = abs_t = 1.0
     shift = 0
+    if order > -1.0:  # every term is >= 0: the loop below without abs, same floats (a = s)
+        for k, ratio in enumerate(factors):
+            q = x2_4 / ((k + 1) * (order + k + 1.0))
+            if q < 1.0 and (tail := t * q / (1.0 - q)) <= _U * s:
+                return s, s, tail, shift, k + 1
+            t *= q * ratio
+            s += t
+            if t > _FRAME_MAX:
+                t, e = math.frexp(t)
+                s, shift = math.ldexp(s, -e), shift + e
+        return None
     for k, ratio in enumerate(factors):
         c = order + k + 1.0
         q = x2_4 / ((k + 1) * c)

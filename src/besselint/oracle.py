@@ -177,7 +177,8 @@ _s_tables: tuple[float, dict] = (math.nan, {})
 
 
 def _row(mu: float, order: float, gamma: float) -> tuple:
-    """The x-free parts: the row, p0, -ord ln 2, -log|Gamma(ord+1)|, its sign, p0's S tables."""
+    """The x-free parts: the row, p0, the term-count offset max(0, -ord), -ord ln 2,
+    -log|Gamma(ord+1)|, its sign, p0's S tables."""
     global _s_tables
     if kernel.is_nonpositive_int(order + 1.0):
         raise InvalidOrder(f"negative integer order {order} is not supported")
@@ -187,16 +188,16 @@ def _row(mu: float, order: float, gamma: float) -> tuple:
         raise InvalidDomain(f"mu + ord + 1 overflows (mu={mu}, ord={order})") from None
     if _s_tables[0] != p0:
         _s_tables = (p0, {})
-    return (mu, order, gamma, p0, -order * _LN2, -kernel.log_gamma(order + 1.0),
-            kernel.gamma_sign(order + 1.0), _s_tables[1])
+    return (mu, order, gamma, p0, max(0.0, -order), -order * _LN2,
+            -kernel.log_gamma(order + 1.0), kernel.gamma_sign(order + 1.0), _s_tables[1])
 
 
 def _series(row: tuple, x: float, tol: float) -> QuadResult:
     """The row's integral up to ``x``: the step of :func:`_row`."""
-    mu, order, gamma, p0, log_2, log_gamma, gamma_sign, tables = row
+    mu, order, gamma, p0, offset, log_2, log_gamma, gamma_sign, tables = row
     z = gamma * x
     # past the peak near k = x/2 the terms fall by e^-37 within ~4.3 sqrt(x)
-    n = int(0.5 * x + 5.0 * math.sqrt(x) + max(0.0, -order)) + 10
+    n = int(0.5 * x + 5.0 * math.sqrt(x) + offset) + 10
     while True:
         if n > _MAX_TERMS:
             raise NonConvergence(
@@ -231,7 +232,9 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
         if log == -math.inf:
             return QuadResult(0, 0.0, rel_err, terms, rel_err <= tol)
         raise InvalidDomain(f"non-finite log magnitude {log!r}")
-    return QuadResult(gamma_sign if s > 0 else -gamma_sign, log, rel_err, terms, rel_err <= tol)
+    # the fields as one tuple: no Python-level constructor per integral
+    return tuple.__new__(QuadResult, (gamma_sign if s > 0 else -gamma_sign, log, rel_err, terms,
+                                      rel_err <= tol))
 
 
 # ----------------------------------------------------------------------

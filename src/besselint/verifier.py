@@ -69,6 +69,9 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+_HOLDS, _VIOLATED, _INCONCLUSIVE = Verdict
+
+
 def _point_dict(p) -> dict:
     """The coordinates of a :class:`Point`, a :class:`CheckReport` or a
     :class:`SkippedPoint`, which all carry them as fields."""
@@ -156,34 +159,36 @@ def _row_reports(bid: BoundId, row: Point, direction: Direction,
     result)`` of ``results`` in ``row``.  An error, given in place of the oracle
     result or raised by the step, makes its check INCONCLUSIVE with the reason."""
     upper, equality = direction is Direction.UPPER, direction is Direction.EQUALITY
+    nu, n, mu, gamma, new = row.nu, row.n, row.mu, row.gamma, tuple.__new__
     reports = []
     for x, oracle in results:
         if not isinstance(oracle, BesselIntError):
             try:
                 sign, log, _, share = step(x)
-                if not oracle.sign:
+                o_sign, o_log, o_err, _, converged = oracle
+                if not o_sign:
                     raise InvalidDomain("oracle integral is zero; no relative margin exists")
-                ratio = exp_float(sign * oracle.sign, log - oracle.log_abs)
+                ratio = exp_float(sign * o_sign, log - o_log)
                 # positive means the inequality holds; at an equality any gap counts
                 # against.  No sign factor: it would turn a zero margin into -0.0
                 margin = ratio - 1.0 if upper else -abs(ratio - 1.0) if equality else 1.0 - ratio
                 # each log_abs is rounded to u = 2^-53 of itself, and the ratio's exp carries that
-                rounding = 2.0 ** -53 * (abs(log) + abs(oracle.log_abs))
-                unc = (oracle.rel_err + KERNEL_UNCERTAINTY
+                rounding = 2.0 ** -53 * (abs(log) + abs(o_log))
+                unc = (o_err + KERNEL_UNCERTAINTY
                        + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
-                if not oracle.converged:
+                if not converged:
                     unc = max(unc, tol)
-                verdict = (Verdict.HOLDS if margin > unc else
-                           Verdict.VIOLATED if margin < -unc else Verdict.INCONCLUSIVE)
-                reports.append(CheckReport(bid, row.nu, row.n, row.mu, row.gamma, x, sign, log,
-                                           oracle, verdict, margin, unc, direction))
+                verdict = (_HOLDS if margin > unc else
+                           _VIOLATED if margin < -unc else _INCONCLUSIVE)
+                # the report's fields as one tuple: no Python-level constructor per check
+                reports.append(new(CheckReport, (bid, nu, n, mu, gamma, x, sign, log, oracle,
+                                                 verdict, margin, unc, direction, None)))
                 continue
             except BesselIntError as exc:
                 oracle = exc
         reports.append(CheckReport(
-            bid, row.nu, row.n, row.mu, row.gamma, x, 0, 0.0, _NO_ORACLE,
-            Verdict.INCONCLUSIVE, math.nan, math.inf, direction,
-            f"{type(oracle).__name__}: {oracle}"))
+            bid, nu, n, mu, gamma, x, 0, 0.0, _NO_ORACLE, _INCONCLUSIVE, math.nan, math.inf,
+            direction, f"{type(oracle).__name__}: {oracle}"))
     return reports
 
 
@@ -272,6 +277,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     xs = sorted(grid.x_values)
     limits = list(dict.fromkeys(x for x in xs if x > 0))  # every oracle row's, each x once
     skipped: list[SkippedPoint] = []
+    new = tuple.__new__
     plan = []  # (bound, row, its valid xs, its integral, its direction), in output order
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
@@ -279,12 +285,11 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
                 sorted(grid.mu_values) if entry.uses_mu else [None],
                 sorted(grid.gamma_values))
         for row in itertools.starmap(Point, itertools.product(*axes)):
-            valid = []
-            for x, reason in zip(xs, entry.reasons(row, xs)):
-                if reason is None:
-                    valid.append(x)
-                else:
-                    skipped.append(SkippedPoint(bid, row.nu, row.n, row.mu, row.gamma, x, reason))
+            reasons = list(entry.reasons(row, xs))
+            valid = [x for x, reason in zip(xs, reasons) if reason is None]
+            # a row's skipped records in one comprehension, each one tuple
+            skipped += [new(SkippedPoint, (bid, row.nu, row.n, row.mu, row.gamma, x, reason))
+                        for x, reason in zip(xs, reasons) if reason is not None]
             if valid:
                 plan.append((bid, row, valid, entry.integrand(row), entry.direction_at(row)))
     keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from besselint import bounds
+from besselint import bounds, kernel
 from besselint.bounds import (
     CATALOG,
     BoundId,
@@ -122,6 +122,16 @@ class TestBoundValues:
         f = oracle(BoundId.NEW1, nu=1.5, n=-2.0, gamma=0.0, x=5.0)
         assert ev.value < f
 
+    @pytest.mark.parametrize("bid", [BoundId.INTINEQ0, BoundId.LOWER2])
+    @pytest.mark.parametrize("nu", [1e154, 1e200])
+    def test_huge_order_bracket_is_finite(self, bid, nu):
+        # 2 nu (2 nu + c_{nu-1}) overflows past nu ~ 1e154; the bracket
+        # 1 - (2 nu/(2 nu - 1)) (2 nu/(1 - gamma))/x is about -2 nu at x = 1
+        ev = bound_value(bid, nu=nu, x=1.0)
+        assert ev.sign == -1 and math.isfinite(ev.log_abs)
+        expected = besseli(nu, 1.0).log_abs + math.log(2.0 * nu)
+        assert ev.log_abs == pytest.approx(expected, rel=1e-15)
+
     @pytest.mark.parametrize("bid,nu,x,expected", [
         (BoundId.TWOSIDED_U, 0.0, 5.0, 0.2038),
         (BoundId.TWOSIDED_L, 0.0, 5.0, 0.0528),
@@ -216,12 +226,20 @@ def _general_step(gamma, power, terms, x):
 
 
 class TestOneTermStep:
-    # one term left forms its sign and log|c| once per row; the step must give
-    # the bits of the general formula
+    # one term left forms its sign and log|c| once per row, and two or three
+    # take a fixed-arity step; each must give the bits of the general formula
     @pytest.mark.parametrize("terms", [
         ((-2.5, 1.0),), ((1e-300, 1.0),), ((1e300, 1.0),), ((-1e300, 0.5),),
         ((3.0, -1.5),),  # I_{-3/2} < 0 at small x
         ((0.75, 2.0), (0.0, 4.0)),  # NEW1 and LOWER4 at n = -1: a zero term drops
+        ((1.0, 1.0), (-1.0, 1.0)),  # cancelling coefficients: the sum is zero
+        ((1.0, 2.0), (-1.0, 2.0), (0.5, 3.0)),
+        ((2.5, 1.5), (-1.0, 3.5)),  # BAAAD's shape
+        ((1.0, 1.0), (-0.2, 3.0), (0.02, 5.0)),  # LOWER4's shape
+        ((3.0, -1.5), (1.0, 0.5)),
+        ((3.0, -1.5), (-1.0, 0.5), (2.0, 2.5)),
+        ((0.75, 2.0), (0.0, 4.0), (-0.5, 3.0)),  # a zero coefficient: two live terms
+        ((0.0, 2.0), (1e300, 1.0), (-1e-300, 6.0)),
     ])
     @pytest.mark.parametrize("gamma,power", [(0.0, 0.5), (0.9, -0.25)])
     def test_matches_the_general_formula(self, terms, gamma, power):
@@ -236,10 +254,13 @@ class TestOneTermStep:
         assert step(1e-300)[:2] == _general_step(0.0, 1e307, ((c, 1.0),), 1e-300)
         assert step(1e-300)[1] == -math.inf
 
-    @pytest.mark.parametrize("terms", [((math.inf, 1.0),), ((math.nan, 1.0), (0.0, 3.0))])
+    @pytest.mark.parametrize("terms", [((math.inf, 1.0),), ((math.nan, 1.0), (0.0, 3.0)),
+                                       ((1.0, 1.0), (math.inf, 2.0)),
+                                       ((1.0, 1.0), (-1.0, 3.0), (math.nan, 2.0))])
     def test_non_finite_coefficient_raises_at_every_x(self, terms):
         step = bounds._combination(0.5, 1.0, *terms)
-        message = f"cannot represent {terms[0][0]!r} as a ScaledValue"
+        c = next(c for c, _ in terms if not math.isfinite(c))
+        message = f"cannot represent {c!r} as a ScaledValue"
         for x in (1e-3, 1.0, 100.0):
             with pytest.raises(InvalidDomain, match=f"^{message}$"):
                 step(x)
@@ -250,6 +271,67 @@ class TestOneTermStep:
         for x in (0.25, 0.5, 1.0):
             with pytest.raises(InvalidDomain, match="^cannot represent nan as a ScaledValue$"):
                 step(x)
+
+    @pytest.mark.parametrize("terms", [((2.0, 1.0), (-1.0, 3.0)),
+                                       ((2.0, 1.0), (-1.0, 3.0), (0.5, 7.0))])
+    def test_multi_term_prefactor_underflow(self, terms):
+        step = bounds._combination(0.0, 1e307, *terms)
+        assert step(1e-300)[:2] == _general_step(0.0, 1e307, terms, 1e-300)
+        assert step(1e-300)[1] == -math.inf
+
+    @pytest.mark.parametrize("terms", [((2.0, 1.0), (-1.0, 3.0)),
+                                       ((2.0, 1.0), (-1.0, 3.0), (0.5, 7.0)),
+                                       ((None, 1.0), (0.5, 3.0))])
+    def test_a_zero_i_drops_its_term(self, terms, monkeypatch):
+        # no I of a package order is exactly zero at x > 0: make one so
+        real = kernel.besseli
+
+        def besseli_with_a_zero(order, x):
+            return ScaledValue.zero() if order == 3.0 else real(order, x)
+        monkeypatch.setattr(kernel, "besseli", besseli_with_a_zero)
+        monkeypatch.setitem(globals(), "besseli", besseli_with_a_zero)
+        step = bounds._combination(0.5, 1.0, *terms)
+        at_x = [(-1.5 if c is None else c, order) for c, order in terms]  # a per-x c of -1.5
+        for x in (1e-3, 1.0, 20.0):
+            value = step(x, -1.5) if terms[0][0] is None else step(x)
+            assert value[:2] == _general_step(0.5, 1.0, at_x, x), x
+
+    @pytest.mark.parametrize("terms,c,message", [
+        (((None, 1.0),), -math.inf, "-inf"),
+        (((None, 1.0), (0.5, 2.0)), math.nan, "nan"),
+        (((None, 1.0), (math.inf, 2.0)), 1.0, "inf"),
+    ])
+    def test_non_finite_per_x_coefficient_raises_at_every_x(self, terms, c, message):
+        step = bounds._combination(0.5, 1.0, *terms)
+        for x in (1e-3, 1.0, 100.0):
+            with pytest.raises(InvalidDomain, match=f"^cannot represent {message} as a ScaledValue$"):
+                step(x, c)
+
+    # bounds whose first coefficient is formed per x pass it into the row's step
+    @pytest.mark.parametrize("bid", [BoundId.LOWER1, BoundId.LOWER3, BoundId.LOWER2,
+                                     BoundId.INTINEQ0, BoundId.NEED2])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.99])
+    def test_per_x_coefficients_match_the_general_formula(self, bid, gamma):
+        for nu in (0.75, 1.0, 2.5, 10.0, 1e153):
+            step = row_step(bid, Point(nu=nu, gamma=gamma))
+            for x in (1e-3, 0.37, 1.0, 20.0, 700.0):
+                if bid in (BoundId.LOWER1, BoundId.LOWER3):
+                    total = geometric_tail_series(nu, gamma, x)[0]
+                    power = nu + 1.0 if bid is BoundId.LOWER1 else nu
+                    terms = ((total, nu + 1.0),)
+                elif bid is BoundId.NEED2:
+                    d = 2.0 * nu + 1.0
+                    power = nu + 1.0
+                    terms = (((2.0 * (nu + 1.0) / x + gamma) / d, nu + 1.0),
+                             (gamma * gamma / d, nu + 2.0))
+                else:
+                    num = 2.0 * nu * (2.0 * nu + c_nu(nu - 1.0))
+                    den = (2.0 * nu - 1.0) * (1.0 - gamma)
+                    power, terms = nu, (((1.0 - num / (den * x)) / (1.0 - gamma), nu),)
+                expected = _general_step(gamma, power, terms, x)
+                if expected[1] == -math.inf:
+                    expected = (0, 0.0)  # row_step's zero
+                assert step(x)[:2] == expected, (nu, x)
 
 
 class TestOrderings:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from besselint.errors import InvalidDomain, InvalidOrder, NonConvergence
 from besselint.kernel import (
     _RATIO_TERMS, ACCURACY_LARGE_X, ACCURACY_SMALL_X, _besselk_debye_log, asym_large,
-    asym_small, besseli, besseli_ratio, besseli_ratios, besselk,
+    asym_small, besseli, besseli_ratio, besseli_ratios, besselk, power_series_sum,
 )
 
 from conftest import log_relerr, sv_relerr
@@ -326,3 +326,40 @@ class TestAsymptotics:
                   for x in (50.0, 100.0, 200.0, 400.0)]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1.0) < 1e-6
+
+
+def _signed_series_sum(order, x2_4, factors):
+    """``power_series_sum`` for terms of any sign, written out: the reference
+    for the loop without ``abs`` that it takes once every term is >= 0."""
+    t = s = a = abs_t = 1.0
+    shift = 0
+    for k, ratio in enumerate(factors):
+        c = order + k + 1.0
+        q = x2_4 / ((k + 1) * c)
+        if q < 1.0 and c > 0.0:
+            tail = abs_t * q / (1.0 - q)
+            if tail <= 2.0 ** -53 * abs(s):
+                return s, a, tail, shift, k + 1
+        t *= q * ratio
+        s += t
+        a += (abs_t := abs(t))
+        if abs_t > 2.0 ** 500:
+            t, e = math.frexp(t)
+            s, a, shift, abs_t = math.ldexp(s, -e), math.ldexp(a, -e), shift + e, abs(t)
+    return None
+
+
+class TestPowerSeriesSum:
+    @pytest.mark.parametrize("order", [-0.999, -0.5, 0.0, 0.3, 5.0, 1e3])
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 30.0, 700.0, 2000.0])  # 700 and up rescale
+    @pytest.mark.parametrize("factors", ["ones", "falling", "zero"])
+    def test_nonnegative_terms_match_the_signed_loop(self, order, x, factors):
+        n = 3000
+        factors = {"ones": [1.0] * n, "falling": [(k + 1.0) / (k + 3.0) for k in range(n)],
+                   "zero": [1.0, 1.0, 0.0] + [1.0] * n}[factors]
+        mine = power_series_sum(order, 0.25 * x * x, factors)
+        assert mine == _signed_series_sum(order, 0.25 * x * x, factors)
+        assert mine[1] == mine[0]  # every term is >= 0: the sum of |T_k| is the sum
+
+    def test_factors_that_run_out_give_none(self):
+        assert power_series_sum(0.0, 1e4, [1.0] * 10) is None
