@@ -8,7 +8,8 @@ term and the Bessel combination one ``math.fsum`` scaled by its largest ``I``,
 so nothing overflows.  Every coefficient is fixed per row but three, each its
 bound's first: NEED2's ``(2(v+1)/x + g)/(2v+1)``, the LOWER2/INTINEQ0 bracket and
 the LOWER1/LOWER3 series (a float relative to ``I_{v+1}``) are formed per x and
-passed into the row's one combination step (see :func:`_combination`).
+passed into the row's one combination step (see :func:`_combination`); where the
+first two overflow at tiny x, a second step takes one 1/x into the power.
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -435,8 +436,14 @@ def _v_lower2_like(p: Point):
     if num == math.inf:  # past nu ~ 1e154 only the ratios of the factors are finite
         num, den = nu2 / (nu2 - 1.0) * ((nu2 + c) / (1.0 - p.gamma)), 1.0
     combination = _combination(p.gamma, p.nu, (None, p.nu))
-    # the bracket is 1 - num/(den x)
-    return lambda x: combination(x, (1.0 - num / (den * x)) / (1.0 - p.gamma))
+    # where num/(den x) overflows or den x underflows to 0, x is below a rounding unit
+    # of num/den, and one 1/x goes into the power: -(num/den) e^-gx x^(v-1) I_v/(1-g)
+    tiny = _combination(p.gamma, p.nu - 1.0, (-num / den / (1.0 - p.gamma), p.nu))
+
+    def step(x: float):  # the bracket is 1 - num/(den x)
+        c = (1.0 - num / (den * x)) / (1.0 - p.gamma) if den * x else math.inf
+        return combination(x, c) if math.isfinite(c) else tiny(x)
+    return step
 
 
 # -- remaining individual bounds -----------------------------------------
@@ -459,7 +466,14 @@ def _v_need2(p: Point):
     d = 2.0 * p.nu + 1.0
     a, g2 = 2.0 * (p.nu + 1.0), p.gamma * p.gamma / d
     combination = _combination(p.gamma, p.nu + 1.0, (None, p.nu + 1.0), (g2, p.nu + 2.0))
-    return lambda x: combination(x, (a / x + p.gamma) / d)
+    # where (a/x + g)/d overflows, g x and the I_{v+2} term are below a rounding unit
+    # of a, and one 1/x goes into the power: (a/d) e^-gx x^v I_{v+1}
+    tiny = _combination(p.gamma, p.nu, (a / d, p.nu + 1.0))
+
+    def step(x: float):
+        c = (a / x + p.gamma) / d
+        return combination(x, c) if math.isfinite(c) else tiny(x)
+    return step
 
 
 def _ok_day(p: Point) -> Optional[str]:

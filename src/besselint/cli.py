@@ -133,19 +133,18 @@ def _parser() -> argparse.ArgumentParser:
         xs.add_argument("--x-logspace", type=_x_logspace, default=None,
                         metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
 
-    def add_common(p, handler, default_format="json", tol=False):
+    def add_common(p, handler, default_format="json"):
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-        if tol:  # eval's exit code and the check/sweep verdict band read it
-            p.add_argument("--tol", type=_tolerance, default=1e-10,
-                           help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
 
     p = sub.add_parser("eval", help="value of the integral with an error bound")
     p.add_argument("--mu", type=_finite, required=True)
     p.add_argument("--ord", type=_finite, required=True, dest="ord_")
     p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--x", type=_finite, required=True)
-    add_common(p, _eval, tol=True)
+    add_common(p, _eval)
+    p.add_argument("--tol", type=_tolerance, default=1e-10,  # sets only the exit code
+                   help=f"relative tolerance in [{TOL_MIN}, {TOL_MAX}]")
 
     p = sub.add_parser("bound", help="closed-form bound value at a point")
     add_point(p)
@@ -157,7 +156,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_finite, required=True)
     p.add_argument("--exploratory", action="store_true",
                    help="skip the bound's hypotheses, all but x > 0, and probe anyway")
-    add_common(p, _check, tol=True)
+    add_common(p, _check)
 
     p = sub.add_parser("sweep", help="certification sweep over a parameter grid")
     p.add_argument("--bounds", type=_bound_list, default="all",
@@ -167,7 +166,7 @@ def _parser() -> argparse.ArgumentParser:
     add_x_grid(p)
     p.add_argument("--n", type=_float_list, default=None)
     p.add_argument("--mu", type=_float_list, default=None)
-    add_common(p, _sweep, tol=True)
+    add_common(p, _sweep)
 
     p = sub.add_parser("table", help="relative-error table of the two-sided enclosure")
     p.add_argument("--bound", type=_bound_id, required=True)
@@ -298,11 +297,11 @@ def _bound(args):
 
 def _check(args):
     point = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=args.x)
-    report = check_point(args.bound, point, tol=args.tol, exploratory=args.exploratory)
+    report = check_point(args.bound, point, exploratory=args.exploratory)
     records = [report.to_dict()]
     return (
         {"bound": args.bound.value, "nu": point.nu, "n": point.n, "mu": point.mu,
-         "gamma": point.gamma, "x": point.x, "tol": args.tol, "exploratory": args.exploratory},
+         "gamma": point.gamma, "x": point.x, "exploratory": args.exploratory},
         records,
         lambda: {"results": records, "summary": {"verdict": report.verdict.value}},
         EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK,
@@ -318,12 +317,12 @@ def _sweep(args):
         n_values=tuple(args.n) if args.n else base.n_values,
         mu_values=tuple(args.mu) if args.mu else base.mu_values,
     )
-    result = sweep(args.bounds, grid, tol=args.tol)
+    result = sweep(args.bounds, grid)
     return (
         {"bounds": [b.value for b in sorted(set(args.bounds), key=lambda b: b.value)],
          "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
          "x": list(grid.x_values), "n": list(grid.n_values),
-         "mu": list(grid.mu_values), "tol": args.tol},
+         "mu": list(grid.mu_values)},
         map(CheckReport.to_dict, result.reports),
         lambda: {"results": map(CheckReport.to_dict, result.reports),
                  "skipped": map(SkippedPoint.to_dict, result.skipped),

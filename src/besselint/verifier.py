@@ -5,8 +5,9 @@ and renders HOLDS / VIOLATED / INCONCLUSIVE from the ``(sign, log_abs)`` of
 each: their ratio is one ``exp`` of the difference of the logs.  The
 inconclusive band is the combined numerical uncertainty (the oracle's
 a-priori error bound + the bound's series tail + a small kernel floor + the
-rounding of both logs): a strict inequality can never be certified at an
-equality point, so a margin inside the band is neither pass nor failure.
+rounding of both logs), and no tolerance widens it: a strict inequality can
+never be certified at an equality point, so a margin inside the band is
+neither pass nor failure.
 
 Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
 once, grouped by mu + ord + 1: checks that share an integral share its oracle
@@ -33,7 +34,6 @@ from .bounds import (
 )
 from .errors import BesselIntError, InvalidDomain, NotFound
 from .oracle import (
-    TOL_MIN,
     IntegralSpec,
     QuadResult,
     bessel_integral,
@@ -146,15 +146,10 @@ class SweepResult:
     counts: dict[str, int]
 
 
-def _oracle_tol(tol: float) -> float:
-    """Oracle tolerance for checks at ``tol``: ten times finer, at least TOL_MIN."""
-    return max(tol / 10.0, TOL_MIN)
-
-
 def _row_reports(bid: BoundId, row: Point, direction: Direction,
                  step: Callable[[float], tuple[int, float, int, float]],
-                 results: Iterable[tuple[float, QuadResult | BesselIntError]],
-                 tol: float) -> list[CheckReport]:
+                 results: Iterable[tuple[float, QuadResult | BesselIntError]]
+                 ) -> list[CheckReport]:
     """The verdicts on the bound's :func:`row_step` ``step`` at each ``(x, oracle
     result)`` of ``results`` in ``row``.  An error, given in place of the oracle
     result or raised by the step, makes its check INCONCLUSIVE with the reason."""
@@ -165,7 +160,7 @@ def _row_reports(bid: BoundId, row: Point, direction: Direction,
         if not isinstance(oracle, BesselIntError):
             try:
                 sign, log, _, share = step(x)
-                o_sign, o_log, o_err, _, converged = oracle
+                o_sign, o_log, o_err, _, _ = oracle
                 if not o_sign:
                     raise InvalidDomain("oracle integral is zero; no relative margin exists")
                 ratio = exp_float(sign * o_sign, log - o_log)
@@ -176,8 +171,6 @@ def _row_reports(bid: BoundId, row: Point, direction: Direction,
                 rounding = 2.0 ** -53 * (abs(log) + abs(o_log))
                 unc = (o_err + KERNEL_UNCERTAINTY
                        + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
-                if not converged:
-                    unc = max(unc, tol)
                 verdict = (_HOLDS if margin > unc else
                            _VIOLATED if margin < -unc else _INCONCLUSIVE)
                 # the report's fields as one tuple: no Python-level constructor per check
@@ -194,7 +187,8 @@ def _row_reports(bid: BoundId, row: Point, direction: Direction,
 
 def check_point(id: BoundId, point: Point, tol: float = 1e-10,
                 exploratory: bool = False) -> CheckReport:
-    """Verdict for one bound at one point; oracle runs at tol/10.
+    """Verdict for one bound at one point; the oracle runs at ``tol``, which
+    sets only its ``converged`` flag and never the verdict.
 
     The bound is :func:`bound_value`, or with ``exploratory=True`` one unchecked
     :func:`row_step` step, so that a bound can be probed outside its hypotheses
@@ -205,9 +199,9 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     check_tol(tol)
     value = (row_step(id, point)(point.x) if exploratory else
              bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x)[:4])
-    oracle = bessel_integral(CATALOG[id].integrand(point), _oracle_tol(tol))
+    oracle = bessel_integral(CATALOG[id].integrand(point), tol)
     return _row_reports(id, point, CATALOG[id].direction_at(point), lambda x: value,
-                        [(point.x, oracle)], tol)[0]
+                        [(point.x, oracle)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -270,10 +264,10 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     goes on as usual.  Each distinct oracle row runs once, before any report is
     built, grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
     Output order is canonical whatever the order of ``ids`` or of the axes:
-    bounds by id value, then the product of the sorted axes.
+    bounds by id value, then the product of the sorted axes.  As in
+    :func:`check_point`, ``tol`` goes to the oracle and moves no verdict.
     """
     check_tol(tol)
-    oracle_tol = _oracle_tol(tol)
     xs = sorted(grid.x_values)
     limits = list(dict.fromkeys(x for x in xs if x > 0))  # every oracle row's, each x once
     skipped: list[SkippedPoint] = []
@@ -293,13 +287,13 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
             if valid:
                 plan.append((bid, row, valid, entry.integrand(row), entry.direction_at(row)))
     keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)
-    integrals = {key: _oracle_row(*key, limits, oracle_tol)
+    integrals = {key: _oracle_row(*key, limits, tol)
                  for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
     reports: list[CheckReport] = []
     for bid, row, valid, spec, direction in plan:
         results = integrals[spec.mu, spec.ord, spec.gamma]
         reports += _row_reports(bid, row, direction, row_step(bid, row),
-                                zip(valid, map(results.__getitem__, valid)), tol)
+                                zip(valid, map(results.__getitem__, valid)))
     verdicts = [r.verdict for r in reports]
     counts = {v.value: verdicts.count(v) for v in Verdict}
     return SweepResult(reports=reports, skipped=skipped, counts=counts)

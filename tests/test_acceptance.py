@@ -11,6 +11,7 @@ from besselint.kernel import besseli, besseli_ratio, besselk
 from besselint.oracle import IntegralSpec, antiderivative_gamma1, bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import (
+    Grid,
     Verdict,
     check_point,
     default_grid,
@@ -154,6 +155,24 @@ def test_criterion_4_sweep_no_violations():
                   f"{len(result.skipped)} skipped "
                   f"(undocumented inconclusive: {len(undocumented)}, "
                   f"evaluation errors: {len(errors)})", elapsed)
+
+
+def test_wide_grid_sweep_counts():
+    # orders up to 1000, tilts up to 0.999 and x from 1e-4 to 1e4, beyond the
+    # default grid on every axis; its counts are pinned as criterion 4 pins those
+    # of the default grid
+    grid = Grid(
+        nu_values=(-0.499, -0.49, -0.25, 0.0, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+                   100.0, 300.0, 1000.0),
+        gamma_values=(0.0, 0.1, 0.5, 0.9, 0.99, 0.999),
+        x_values=logspace(1e-4, 1e4, 33),
+        n_values=(-0.9, -0.5, 0.0, 1.0, 2.0, 5.0),
+        mu_values=(0.0, 0.4, 0.5, 1.0, 2.0, 10.0),
+    )
+    result = sweep(list(BoundId), grid)
+    assert result.counts == {"holds": 67859, "violated": 0, "inconclusive": 3751}
+    assert len(result.skipped) == 53130
+    assert [r for r in result.reports if r.reason is not None] == []
 
 
 def test_criterion_5_kernel_inequalities():

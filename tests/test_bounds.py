@@ -567,6 +567,26 @@ def test_nu_plus_n_plus_one_is_rounded_once(bid, nu, n, x):
         assert abs(mp.exp(ev.value.log_abs) / (pre * mp.fsum(terms)) - 1) < 1e-14
 
 
+@pytest.mark.parametrize("bid, nu, gamma, x", [
+    (BoundId.NEED2, 1.0, 0.0, 1e-308),
+    (BoundId.NEED2, 1.0, 0.5, 1e-308),
+    (BoundId.NEED2, 0.999999, 0.5, 5e-324),
+    (BoundId.LOWER2, 1.0, 0.0, 1e-308),
+    (BoundId.INTINEQ0, 1.0, 0.5, 1e-308),
+    (BoundId.INTINEQ0, 1.0, 0.5, 5e-324),
+])
+def test_tiny_x_coefficient_overflow(bid, nu, gamma, x):
+    # 2(nu+1)/x and num/(den x) overflow here, and at 5e-324 den x underflows to 0:
+    # the bound is the closed form to two rounding units of its log, which is
+    # -2235 to -707 here
+    ev = bound_value(bid, nu=nu, gamma=gamma, x=x)
+    with mp.workdps(40):
+        pre, terms = _closed_form(bid, Point(nu=nu, gamma=gamma, x=x), 0)
+        exact = pre * mp.fsum(terms)
+        assert ev.sign == mp.sign(exact)
+        assert abs(mp.exp(ev.log_abs) / abs(exact) - 1) < 2 * 2.0 ** -53 * abs(ev.log_abs)
+
+
 class TestSteinFactors:
     def test_spec_examples(self):
         assert m_value(1.0, 0.0, 2, 1.0).to_float() < 4.0 / 3.0

@@ -115,8 +115,6 @@ class TestCheck:
         "--bound need2 --nu -0.5 --x 1 --exploratory",
         "--bound baaad --nu -0.5 --x 1 --exploratory",
         "--bound main --nu 0 --gamma 1 --x 1 --exploratory",
-        # inside the hypotheses: (2 nu - 1)(1 - gamma) x underflows to 0
-        "--bound intineq0 --nu 1 --gamma 0.5 --x 5e-324",
     ])
     def test_zero_divisor_is_usage_error(self, args):
         code, out, err = invoke(f"check {args}".split())
@@ -125,6 +123,13 @@ class TestCheck:
         bound = args.split()[1]
         assert err == (f"besselint check: InvalidDomain: {bound}: "
                        "the closed form divides by zero here\n")
+
+    def test_tiny_x_divisor_is_no_zero_divisor(self):
+        # inside the hypotheses, (2 nu - 1)(1 - gamma) x underflows to 0 here: the
+        # bracket's 1/x goes into the power, and the negative lower bound holds
+        code, text, _ = invoke("check --bound intineq0 --nu 1 --gamma 0.5 --x 5e-324".split())
+        assert code == 0
+        assert json.loads(text)["summary"]["verdict"] == "holds"
 
     def test_exploratory_series_outside_its_range_is_usage_error(self):
         code, out, err = invoke("check --bound lower3 --nu 0 --gamma 1 --x 1 --exploratory"
@@ -189,9 +194,11 @@ class TestUsageErrors:
         "table --bound twosided_l --nu 0 --x 1 --tol 1e-10",
         "tightness --bound main --nu 0 --x 1,2 --tol 1e-10",
         "crossover --mu 0 --nu 0 --tol 1e-10",
+        "check --bound main --nu 0 --x 1 --tol 1e-10",
+        "sweep --bounds main --nu 0 --gamma 0 --x 1 --tol 1e-10",
     ])
     def test_tolerance_only_on_verbs_it_changes(self, argv):
-        # only eval, check and sweep read a tolerance; elsewhere it is unknown
+        # only eval reads a tolerance, for its exit code; elsewhere it is unknown
         code, out, err = invoke(argv.split())
         assert code == 2
         assert out == ""
@@ -508,7 +515,7 @@ class TestHugeFiniteInputs:
     @pytest.mark.parametrize("argv", [
         "eval --mu 1e300 --ord 894.77 --gamma 0 --x 4747",
         "eval --mu 1e308 --ord 1e308 --gamma 0.5 --x 4.5e-12",
-        "bound --bound need2 --nu 0.999999 --gamma 0.5 --x 5e-324",
+        "bound --bound prop1 --nu 1 --mu 1e308 --x 1e300",
         "check --bound lower2 --nu 1e200 --x 1",
         "crossover --mu 7.7e-17 --nu 1e-300 --gamma 0 --x-max 5e-324",
     ])

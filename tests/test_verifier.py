@@ -84,6 +84,21 @@ class TestCheckPoint:
             return  # F past the representation, or a bound past the float range
         assert verdict in (Verdict.HOLDS, Verdict.INCONCLUSIVE)
 
+    @pytest.mark.parametrize("bid", [BoundId.LOWER4, BoundId.TWOSIDED_L])
+    def test_verdict_reads_no_tolerance(self, bid):
+        # the margin (8.73e-11) is above the band (2.25e-11, of which the oracle's
+        # rel_err is 1.63e-11) and below the default tol: a band that read tol
+        # would turn this check INCONCLUSIVE
+        point = Point(nu=1000.0, n=-0.5, gamma=0.0, x=1e4)
+        grid = Grid((point.nu,), (point.gamma,), (point.x,), n_values=(point.n,))
+        seen = set()
+        for tol in (1e-6, 1e-10, 1e-13):
+            (swept,) = sweep([bid], grid, tol=tol).reports
+            for r in (check_point(bid, point, tol=tol), swept):
+                assert r.verdict is Verdict.HOLDS
+                seen.add((r.rel_margin, r.uncertainty))
+        assert len(seen) == 1
+
     def test_edge_of_the_upper_bound_hypotheses_holds(self):
         # nu + n + 1 is 1.5e-16 here; a 50-digit series puts bound/F - 1 at +0.174
         r = check_point(BoundId.TWOSIDED_U, Point(nu=4e-17, n=-0.9999999999999999, x=3.0))
@@ -124,7 +139,7 @@ class TestZeroMargin:
         (BoundId.NEW1, Point(1.0, n=-1.0, x=5.0), Direction.EQUALITY, -1.0),
     ])
     def test_equal_logs_give_a_signed_zero(self, monkeypatch, bid, point, direction, sign):
-        o = bessel_integral(CATALOG[bid].integrand(point), 1e-11)  # the oracle at tol/10
+        o = bessel_integral(CATALOG[bid].integrand(point))  # the oracle at the default tol
         monkeypatch.setitem(CATALOG, bid, replace(
             CATALOG[bid], evaluate_row=lambda row: lambda x: (o.sign, o.log_abs, 0, 0.0)))
         grid = Grid((point.nu,), (point.gamma,), (point.x,), n_values=(point.n,))
