@@ -86,6 +86,7 @@ __all__ = [
 
 #: LOWER1/LOWER3 stop once the certified tail is below this share of the sum
 _SERIES_TOL = 1e-12
+_ZERO = ScaledValue.zero()
 
 
 class Direction(Enum):
@@ -259,61 +260,41 @@ def _lower(p: Point) -> Direction:
 
 
 def _combination(gamma: float, power: float, *terms: tuple[Optional[float], float]):
-    """The step of ``e^-gx x^power sum_i c_i I_{o_i}`` for ``terms`` ``(c_i, o_i)``:
-    ``math.fsum`` adds the terms relative to the largest ``I_i`` with ``c_i != 0``.
+    """The step of ``e^-gx x^power sum_i c_i I_{o_i}`` for one to three ``terms``
+    ``(c_i, o_i)``: ``math.fsum`` adds the terms relative to the largest ``I_i``.
     A ``c_i`` of None (the first term's only) is formed per x and passed as the
-    step's ``c``.  A log or a coefficient that is not finite raises the
-    :class:`InvalidDomain` that a ScaledValue made from it would.  The live terms
-    are found once per row, and their count picks the step: one term has its own,
-    and two or three share a fixed-arity one; both form the general step's floats
-    without a list.  A lone fixed ``c != 0`` has its sign and ``log|c|`` formed
-    once per row."""
+    step's ``c``.  A term whose ``c_i sign(I_i)`` is 0 drops out: its log is -inf
+    in the max, it adds an exact 0 to the fsum, and its ``I_i`` is not formed
+    when ``c_i`` is 0.  One term gives ``log I + log|c|``, the fsum's bits.  After
+    the prefactor, a coefficient that is not finite raises, once the ``I`` of
+    each term before it is formed, the :class:`InvalidDomain` that a
+    ScaledValue made from it would."""
+    (c0, o0), *rest = terms
+    rest = [(a, order) for a, order in rest if a]
+    cut = next((k for k, (a, _) in enumerate(rest) if not math.isfinite(a)), len(rest))
+    bad = rest[cut][0] if cut < len(rest) else None  # no term past it is reached
+    (c1, o1), (c2, o2) = rest[:cut] + [(0.0, o0)] * (2 - cut)  # a 0 pads to three
 
-    def general(x: float, c: Optional[float] = None):
+    def step(x: float, c: Optional[float] = c0):
         pre = _log_prefactor(gamma, power, x)
-        scaled = []
-        for a, order in terms:
-            if not math.isfinite(a := c if a is None else a):
-                raise InvalidDomain(f"cannot represent {a!r} as a ScaledValue")
-            if a and (i := kernel.besseli(order, x)).sign:
-                scaled.append((a * i.sign, i.log_abs))
-        top = max([log for _, log in scaled], default=0.0)
-        total = math.fsum([a * math.exp(log - top) for a, log in scaled])
+        if not math.isfinite(c):
+            raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
+        i = kernel.besseli(o0, x) if c else _ZERO
+        if not rest:
+            sign = i.sign if c > 0 else -i.sign
+            return sign, pre + i.log_abs + math.log(abs(c)) if sign else -math.inf, 0, 0.0
+        j, k = kernel.besseli(o1, x) if c1 else _ZERO, kernel.besseli(o2, x) if c2 else _ZERO
+        if bad is not None:
+            raise InvalidDomain(f"cannot represent {bad!r} as a ScaledValue")
+        s0, s1, s2 = c * i.sign, c1 * j.sign, c2 * k.sign
+        l0, l1, l2 = (i.log_abs if s0 else -math.inf, j.log_abs if s1 else -math.inf,
+                      k.log_abs if s2 else -math.inf)
+        top = max(l0, l1, l2)  # -inf when every term drops: the fsum is NaN, the sign 0
+        total = math.fsum((s0 * math.exp(l0 - top), s1 * math.exp(l1 - top),
+                           s2 * math.exp(l2 - top)))
         sign = (total > 0) - (total < 0)
         return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, 0.0
-
-    live = [(c, order) for c, order in terms if c is None or c]
-    if not 0 < len(live) <= 3 or not all(c is None or math.isfinite(c) for c, _ in live):
-        return general
-    # padded to three: a missing term is 0 times I_{o0}, an exact zero in the fsum
-    (c0, o0), (c1, o1), (c2, o2) = live + [(0.0, live[0][1])] * (3 - len(live))
-    if len(live) == 1:
-        s0, log_c0 = (0, 0.0) if c0 is None else ((c0 > 0) - (c0 < 0), math.log(abs(c0)))
-
-        def one(x: float, c: Optional[float] = c0):
-            pre = _log_prefactor(gamma, power, x)
-            if c is not c0 and not (c and math.isfinite(c)):
-                return general(x, c)
-            sign_c, log_c = (s0, log_c0) if c is c0 else ((c > 0) - (c < 0), math.log(abs(c)))
-            i = kernel.besseli(o0, x)
-            return sign_c * i.sign, pre + i.log_abs + log_c if i.sign else -math.inf, 0, 0.0
-        return one
-
-    def several(x: float, c: Optional[float] = c0):
-        pre = _log_prefactor(gamma, power, x)
-        if c is not c0 and not (c and math.isfinite(c)):
-            return general(x, c)
-        i, j = kernel.besseli(o0, x), kernel.besseli(o1, x)
-        k = kernel.besseli(o2, x) if c2 else i
-        if not (i.sign and j.sign and k.sign):
-            return general(x, c)
-        top = max(i.log_abs, j.log_abs, k.log_abs)
-        total = math.fsum((c * i.sign * math.exp(i.log_abs - top),
-                           c1 * j.sign * math.exp(j.log_abs - top),
-                           c2 * k.sign * math.exp(k.log_abs - top)))
-        sign = (total > 0) - (total < 0)
-        return sign, pre + top + math.log(abs(total)) if sign else -math.inf, 0, 0.0
-    return several
+    return step
 
 
 def _log_prefactor(gamma: float, power: float, x: float) -> float:

@@ -47,6 +47,7 @@ from typing import NamedTuple
 
 from . import kernel
 from .errors import InvalidDomain, InvalidOrder, NonConvergence
+from .kernel import _FRAME_MAX, _LOG2, _U
 from .scaled import ScaledValue
 
 __all__ = [
@@ -66,11 +67,6 @@ __all__ = [
 TOL_MIN = 1e-13
 TOL_MAX = 1e-6
 
-#: unit roundoff of IEEE double arithmetic
-_U = 2.0 ** -53
-_LN2 = math.log(2.0)
-#: a frame value past this is rescaled by an exact power of two
-_FRAME_MAX = 2.0 ** 500
 #: most series terms one integral may use, which bounds its memory and time
 _MAX_TERMS = 100_000
 
@@ -168,7 +164,7 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
         if prod > _FRAME_MAX:
             prod, e = math.frexp(prod)
             prod_exp += e
-    return ratios, math.log(s) + math.log(prod) + prod_exp * _LN2, j + 2 * n
+    return ratios, math.log(s) + math.log(prod) + prod_exp * _LOG2, j + 2 * n
 
 
 #: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n),
@@ -188,7 +184,7 @@ def _row(mu: float, order: float, gamma: float) -> tuple:
         raise InvalidDomain(f"mu + ord + 1 overflows (mu={mu}, ord={order})") from None
     if _s_tables[0] != p0:
         _s_tables = (p0, {})
-    return (mu, order, gamma, p0, max(0.0, -order), -order * _LN2,
+    return (mu, order, gamma, p0, max(0.0, -order), -order * _LOG2,
             -kernel.log_gamma(order + 1.0), kernel.gamma_sign(order + 1.0), _s_tables[1])
 
 
@@ -214,7 +210,7 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
         n *= 2
     s, a, tail, shift, terms = summed
 
-    parts = (log_2, log_gamma, p0 * math.log(x), -z, log_s0, shift * _LN2)
+    parts = (log_2, log_gamma, p0 * math.log(x), -z, log_s0, shift * _LOG2)
     # a-priori rounding bound in units of u * sum |T_k| / |sum|: 10 roundings per term
     # ratio and sum; 10 per step of the w recurrence and of the direct sum that starts
     # it (the recurrence damps the error it carries, so step errors add up rather than

@@ -19,7 +19,7 @@ from besselint.bounds import (
     row_step,
     x_star,
 )
-from besselint.errors import BesselIntError, InvalidDomain
+from besselint.errors import BesselIntError, InvalidDomain, InvalidOrder
 from besselint.kernel import besseli, besseli_ratios
 from besselint.oracle import bessel_integral
 from besselint.scaled import ScaledValue
@@ -226,8 +226,8 @@ def _general_step(gamma, power, terms, x):
 
 
 class TestOneTermStep:
-    # one term left forms its sign and log|c| once per row, and two or three
-    # take a fixed-arity step; each must give the bits of the general formula
+    # the row's one combination step, for one to three terms, must give the bits
+    # and the errors of the general formula written out above
     @pytest.mark.parametrize("terms", [
         ((-2.5, 1.0),), ((1e-300, 1.0),), ((1e300, 1.0),), ((-1e300, 0.5),),
         ((3.0, -1.5),),  # I_{-3/2} < 0 at small x
@@ -240,6 +240,7 @@ class TestOneTermStep:
         ((3.0, -1.5), (-1.0, 0.5), (2.0, 2.5)),
         ((0.75, 2.0), (0.0, 4.0), (-0.5, 3.0)),  # a zero coefficient: two live terms
         ((0.0, 2.0), (1e300, 1.0), (-1e-300, 6.0)),
+        ((0.0, -2.0),),  # a zero coefficient forms no I: I_{-2} raises InvalidOrder
     ])
     @pytest.mark.parametrize("gamma,power", [(0.0, 0.5), (0.9, -0.25)])
     def test_matches_the_general_formula(self, terms, gamma, power):
@@ -295,6 +296,31 @@ class TestOneTermStep:
         for x in (1e-3, 1.0, 20.0):
             value = step(x, -1.5) if terms[0][0] is None else step(x)
             assert value[:2] == _general_step(0.5, 1.0, at_x, x), x
+
+    @pytest.mark.parametrize("terms", [((None, -2.0),), ((None, -2.0), (1.0, 1.0))])
+    def test_a_zero_per_x_coefficient_forms_no_i(self, terms):
+        # I_{-2} raises InvalidOrder: a per-x c of 0 must drop its term unformed
+        step = bounds._combination(0.5, 1.0, *terms)
+        at_x = [(0.0 if c is None else c, order) for c, order in terms]
+        for x in (1e-3, 1.0, 20.0):
+            assert step(x, 0.0)[:2] == _general_step(0.5, 1.0, at_x, x), x
+
+    def test_prefactor_error_comes_before_the_coefficient_error(self):
+        # 1e308 log(10) is inf
+        with pytest.raises(InvalidDomain, match="^non-finite log magnitude inf$"):
+            bounds._combination(0.0, 1e308, (math.nan, 1.0))(10.0)
+
+    def test_an_earlier_i_error_comes_before_the_coefficient_error(self):
+        # the terms are taken in order: I_{-2} raises before inf is read, unless
+        # its coefficient is 0 and it is never formed
+        step = bounds._combination(0.5, 1.0, (None, -2.0), (math.inf, 1.0))
+        with pytest.raises(InvalidOrder, match="^negative integer order -2.0"):
+            step(1.0, 1.0)
+        with pytest.raises(InvalidDomain, match="^cannot represent inf as a ScaledValue$"):
+            step(1.0, 0.0)
+        # LOWER4 off its hypotheses: I_{nu+n+1} = I_{-5e199}, and an inf second coefficient
+        with pytest.raises(InvalidOrder, match="^negative integer order -5e\\+199"):
+            row_step(BoundId.LOWER4, Point(nu=5e199, n=-1e200))(2.0)
 
     @pytest.mark.parametrize("terms,c,message", [
         (((None, 1.0),), -math.inf, "-inf"),

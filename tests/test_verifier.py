@@ -42,6 +42,14 @@ class TestCheckPoint:
         assert r.verdict is Verdict.INCONCLUSIVE
         assert abs(r.rel_margin) <= r.uncertainty
 
+    @pytest.mark.parametrize("bid", [BoundId.LOWER2, BoundId.INTINEQ0])
+    def test_zero_bracket_holds_with_the_whole_margin(self, bid):
+        # at nu = 1, gamma = 0 the per-x coefficient 1 - 4/x is exactly 0 at x = 4
+        assert bound_value(bid, nu=1.0, gamma=0.0, x=4.0).sign == 0
+        r = check_point(bid, Point(nu=1.0, gamma=0.0, x=4.0))
+        assert r.verdict is Verdict.HOLDS
+        assert r.rel_margin == 1.0
+
     def test_out_of_domain_raises_with_hypothesis(self):
         with pytest.raises(InvalidDomain, match="mu >= nu >= 1/2"):
             check_point(BoundId.PROP1, Point(nu=0.0, mu=0.0, gamma=0.0, x=100.0))
