@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import kernel
@@ -169,8 +170,8 @@ def x_star(nu: float, gamma: float) -> float:
 
 #: orders covered by the first continued-fraction seed; each later block doubles
 _FIRST_RATIO_BLOCK = 8
-#: the ratio lists of the last nu, keyed by the full (nu, x)
-_ratio_lists: tuple[float, dict] = (math.nan, {})
+#: nu's ratio lists, keyed by x; one entry, the last nu's, so memory does not grow with the grid
+_ratio_lists = lru_cache(maxsize=1)(lambda nu: {})
 
 
 def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int, float]:
@@ -195,22 +196,19 @@ def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int
     depend on ``(nu, x)`` alone, so the lists of the last nu are kept and
     shared by every gamma; a list grows by a new, longer list, never in place.
     """
-    global _ratio_lists
     if x <= 0:
         raise InvalidDomain(f"series needs x > 0, got {x}")
     if not 0.0 <= gamma < 1.0:
         raise InvalidDomain(f"series needs 0 <= gamma < 1, got {gamma}")
     if gamma == 0.0:
         return 1.0, 1, 0.0
-    if (memo := _ratio_lists)[0] != nu:
-        memo = _ratio_lists = (nu, {})
-    lists, key = memo[1], (nu, x)
-    ratios = lists.get(key, ())  # ratios[k] = r_{nu+k+1}
+    lists = _ratio_lists(float(nu))  # lru_cache keys an int apart from its equal float
+    ratios = lists.get(x, ())  # ratios[k] = r_{nu+k+1}
     term = total = 1.0
     terms = 1
     while True:
         if terms > len(ratios):  # 8 more orders than it has: the list a lone call builds
-            ratios = lists[key] = [*ratios, *kernel.besseli_ratios(
+            ratios = lists[x] = [*ratios, *kernel.besseli_ratios(
                 nu + len(ratios) + 1.0, len(ratios) + _FIRST_RATIO_BLOCK, x)]
         q = gamma * ratios[terms - 1]
         tail = term * q / (1.0 - q)

@@ -5,7 +5,8 @@ Verbs: ``eval``, ``bound``, ``check``, ``sweep``, ``table``, ``tightness``,
 as (sign, log_abs) pairs plus a plain decimal whenever |log_abs| < 700.
 The JSON envelope is ``{command, parameters, results[], summary}``, plus
 ``skipped[]`` for ``sweep``, written one top-level member per line and one
-list entry per line, so both ``json.load`` and line tools read it.
+list entry per line, so both ``json.load`` and line tools read it.  JSON
+writes a non-finite float as null, CSV as ``nan`` or ``inf``.
 
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
@@ -127,8 +128,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=_finite, default=None)
         p.add_argument("--gamma", type=_finite, default=0.0)
 
-    def add_x_grid(p):
-        xs = p.add_mutually_exclusive_group()
+    def add_x_grid(p, required):
+        xs = p.add_mutually_exclusive_group(required=required)
         xs.add_argument("--x", type=_float_list, default=None)
         xs.add_argument("--x-logspace", type=_x_logspace, default=None,
                         metavar="LO,HI,COUNT", help="log-spaced x grid, e.g. 1e-3,200,24")
@@ -163,7 +164,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="comma-separated bound ids, or 'all'")
     p.add_argument("--nu", type=_float_list, default=None)
     p.add_argument("--gamma", type=_float_list, default=None)
-    add_x_grid(p)
+    add_x_grid(p, required=False)  # without one, the default grid's x
     p.add_argument("--n", type=_float_list, default=None)
     p.add_argument("--mu", type=_float_list, default=None)
     add_common(p, _sweep)
@@ -176,7 +177,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="bound/oracle ratios along an x sequence")
     add_point(p)
-    add_x_grid(p)
+    add_x_grid(p, required=True)
     add_common(p, _tightness)
 
     p = sub.add_parser("crossover", help="abscissa where the PROP1 comparison flips")
@@ -208,18 +209,39 @@ def _csv_row(record: dict) -> list:
             for v in (value.values() if type(value) is dict else (value,))]
 
 
+#: RFC 8259 JSON of one value; raises ValueError on a NaN or an infinity
+_encode_strict = json.JSONEncoder(allow_nan=False).encode
+
+
+def _nulled(value):
+    """``value`` with each non-finite float, in any dict or list, as None."""
+    if type(value) is dict:
+        return {k: _nulled(v) for k, v in value.items()}
+    if type(value) is list:
+        return list(map(_nulled, value))
+    return None if type(value) is float and not math.isfinite(value) else value
+
+
+def _encode(value) -> str:
+    """JSON of ``value``, a non-finite float written as null."""
+    try:
+        return _encode_strict(value)
+    except ValueError:
+        return _encode_strict(_nulled(value))
+
+
 def _write_json(out, members: dict) -> None:
     """``members`` one per line, a non-empty list or iterator one entry per line, each
-    line one ``json.dumps`` (CPython's C encoder, which ``indent`` turns off), none joined."""
+    line one :func:`_encode` (CPython's C encoder, which ``indent`` turns off), none joined."""
     for i, (key, value) in enumerate(members.items()):
-        out.write(f"{',' if i else '{'}\n{json.dumps(key)}: ")
+        out.write(f"{',' if i else '{'}\n{_encode(key)}: ")
         if isinstance(value, (list, Iterator)):
             j = 0
             for j, item in enumerate(value, 1):
-                out.write(f"{',' if j > 1 else '['}\n{json.dumps(item)}")
+                out.write(f"{',' if j > 1 else '['}\n{_encode(item)}")
             out.write("\n]" if j else "[]")
         else:
-            out.write(json.dumps(value))
+            out.write(_encode(value))
     out.write("\n}\n")
 
 
@@ -345,8 +367,6 @@ def _table(args):
 
 def _tightness(args):
     xs = args.x_logspace or args.x
-    if not xs:
-        raise InvalidDomain("one of --x or --x-logspace is required")
     template = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=xs[0])
     ratios = tightness_scan(args.bound, template, xs)
     records = [{"x": x, "ratio": r} for x, r in zip(xs, ratios)]

@@ -30,8 +30,8 @@ same signed ratios and the rounding bound scales with the sum of
 
 A (mu, ord, gamma) row forms its x-free parts once, and its step sums one x.
 Rows with equal ``p0 = mu + ord + 1`` share the S tables, which depend on
-``(p0, z, n)`` alone (at z = 0, ``S(p) = 1/p`` needs no recurrence): those of
-the last p0 stay until a row with another comes.  A result is one flat record.
+``(p0, z, n)`` alone (at z = 0, ``S(p) = 1/p`` needs no recurrence): a one-entry
+cache keeps those of the last p0, keyed by ``(z, n)``.  A result is one flat record.
 
 The closed forms (``antiderivative_gamma1``, the identity residuals) are
 computed through routes independent of the series so that each can
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernel
@@ -167,25 +168,21 @@ def _s_ratios(p0: float, z: float, n: int) -> tuple[list[float], float, int]:
     return ratios, math.log(s) + math.log(prod) + prod_exp * _LOG2, j + 2 * n
 
 
-#: the S tables of the last p0 a row was made for, keyed by the full (p0, z, n),
-#: so that a row handed another thread's dict finds no table of another p0
-_s_tables: tuple[float, dict] = (math.nan, {})
+#: p0's S tables, keyed by (z, n); one entry, the last p0's, so memory does not grow with the grid
+_s_tables = lru_cache(maxsize=1)(lambda p0: {})
 
 
 def _row(mu: float, order: float, gamma: float) -> tuple:
     """The x-free parts: the row, p0, the term-count offset max(0, -ord), -ord ln 2,
     -log|Gamma(ord+1)|, its sign, p0's S tables."""
-    global _s_tables
     if kernel.is_nonpositive_int(order + 1.0):
         raise InvalidOrder(f"negative integer order {order} is not supported")
     try:
         p0 = math.fsum((mu, order, 1.0))  # correctly rounded near mu + ord = -1
     except OverflowError:
         raise InvalidDomain(f"mu + ord + 1 overflows (mu={mu}, ord={order})") from None
-    if _s_tables[0] != p0:
-        _s_tables = (p0, {})
     return (mu, order, gamma, p0, max(0.0, -order), -order * _LOG2,
-            -kernel.log_gamma(order + 1.0), kernel.gamma_sign(order + 1.0), _s_tables[1])
+            -kernel.log_gamma(order + 1.0), kernel.gamma_sign(order + 1.0), _s_tables(p0))
 
 
 def _series(row: tuple, x: float, tol: float) -> QuadResult:
@@ -199,7 +196,7 @@ def _series(row: tuple, x: float, tol: float) -> QuadResult:
             raise NonConvergence(
                 f"F(mu={mu}, ord={order}, gamma={gamma}, x={x}) needs more than "
                 f"{_MAX_TERMS} series terms")
-        if (table := tables.get(key := (p0, z, n))) is None:
+        if (table := tables.get(key := (z, n))) is None:
             table = tables[key] = (_s_ratios(p0, z, n) if z > 0.0 else  # at z = 0, S(p) = 1/p
                                    ([(p0 + 2 * k) / (p0 + 2 * k + 2.0) for k in range(n)],
                                     -math.log(p0), 0))

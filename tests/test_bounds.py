@@ -471,6 +471,11 @@ class TestSeriesBounds:
         assert after_a_nu_change([0.99, 0.1]) == alone
         assert after_a_nu_change([0.1, 0.99]) == alone
 
+    def test_an_int_nu_shares_the_lists_of_the_equal_float(self, monkeypatch):
+        expected = geometric_tail_series(1.0, 0.5, 2.0)
+        monkeypatch.setattr(kernel, "besseli_ratios", None)  # a rebuilt list would call it
+        assert geometric_tail_series(1, 0.5, 2.0) == expected
+
     def test_threads_share_only_whole_ratio_lists(self):
         # the lists are process state: threads that switch nu under each other may
         # rebuild a list, but never read one that another thread grew in place

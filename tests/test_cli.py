@@ -172,6 +172,11 @@ class TestUsageErrors:
     def test_missing_required(self):
         code, _, _ = invoke(["eval", "--mu", "0"])
         assert code == 2
+        # tightness has no default grid: one of --x and --x-logspace is required
+        code, out, err = invoke("tightness --bound main --nu 0".split())
+        assert code == 2
+        assert out == ""
+        assert "one of the arguments --x --x-logspace is required" in err
 
     @pytest.mark.parametrize("argv", [
         "sweep --bounds main --nu 0 --gamma 0 --x inf",
@@ -398,14 +403,33 @@ class TestJsonCsvAgree:
         assert (cell == "") if xstar is None else (float(cell) == xstar)
 
 
+def _finite_or_null(value):
+    """``value`` with each NaN or infinity, in any dict or list, as None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _dumped_members(argv):
-    """The verb's members as one ``json.dumps`` of the whole document, with the
-    iterators that ``body()`` may return listed first."""
+    """The verb's members as one strict ``json.dumps`` of the whole document, a
+    non-finite float as null, with the iterators that ``body()`` may return listed first."""
     args = _parser().parse_args(argv)
     parameters, _, body, _ = args.handler(args)
     members = {key: list(value) if isinstance(value, Iterator) else value
                for key, value in body().items()}
-    return json.dumps({"command": args.verb, "parameters": parameters, **members})
+    return json.dumps(_finite_or_null({"command": args.verb, "parameters": parameters,
+                                       **members}), allow_nan=False)
+
+
+def _strict_loads(text):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestJsonLayout:
@@ -417,7 +441,7 @@ class TestJsonLayout:
         ["check", "--bound", "lower3", "--nu", "0.5", "--gamma", "0.7", "--x", "4"],
         # an empty skipped list
         ["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0", "--x", "1,5"],
-        # failed checks: rel_margin NaN and uncertainty inf, written NaN and Infinity
+        # failed checks: rel_margin NaN and uncertainty inf, written null
         ["sweep", "--bounds", "lower2", "--nu", "1,1e200", "--x", "1"],
         # results are lists of lists
         ["table", "--bound", "twosided_l", "--nu", "0,1", "--x", "1,10,50"],
@@ -426,9 +450,25 @@ class TestJsonLayout:
     ])
     def test_parses_to_the_dumped_document(self, argv):
         _, text, _ = invoke(argv + ["--format", "json"])
-        # NaN != NaN, so non-finite constants compare as their JSON tokens
-        assert (json.loads(text, parse_constant=str)
-                == json.loads(_dumped_members(argv), parse_constant=str))
+        assert _strict_loads(text) == json.loads(_dumped_members(argv))
+
+    @pytest.mark.parametrize("argv, margin, uncertain", [
+        # the negative bound is e^2239 times the oracle: the margin 1 - ratio is infinite
+        ("check --bound intineq0 --nu 1 --gamma 0.5 --x 5e-324", "inf", False),
+        # the oracle fails at x = 2e5: a NaN margin and an infinite uncertainty
+        ("sweep --bounds main --nu 0 --gamma 0 --x 1,2e5", "nan", True),
+    ], ids=["intineq0-inf", "main-x2e5"])
+    def test_non_finite_floats_are_null(self, argv, margin, uncertain):
+        code, text, _ = invoke(argv.split())
+        assert code == 0
+        nulls = [r for r in _strict_loads(text)["results"] if r["rel_margin"] is None]
+        assert all((r["uncertainty"] is None) == uncertain for r in nulls)
+        # CSV keeps the float's own text
+        code, text, _ = invoke(argv.split() + ["--format", "csv"])
+        assert code == 0
+        rows = [r for r in csv.DictReader(io.StringIO(text)) if r["rel_margin"] == margin]
+        assert len(rows) == len(nulls) > 0
+        assert all((r["uncertainty"] == "inf") == uncertain for r in rows)
 
     def test_one_line_per_record(self):
         _, text, _ = invoke(["sweep", "--bounds", "main,prop1", "--nu", "0", "--gamma", "0",
