@@ -2,11 +2,12 @@
 
 Verbs: ``eval``, ``bound``, ``check``, ``sweep``, ``table``, ``tightness``,
 ``crossover``.  Output is JSON (default) or CSV; magnitudes are rendered
-as (sign, log_abs) pairs plus a plain decimal whenever |log_abs| < 700.
+as (sign, log_abs) pairs, and a record carries no member derived from another.
 The JSON envelope is ``{command, parameters, results[], summary}``, plus
 ``skipped[]`` for ``sweep``, written one top-level member per line and one
-list entry per line, so both ``json.load`` and line tools read it.  JSON
-writes a non-finite float as null, CSV as ``nan`` or ``inf``.
+list entry per line, so both ``json.load`` and line tools read it.  Floats are
+written in their shortest round-trip digits, as ``repr``; JSON writes a
+non-finite one as null, CSV as ``nan`` or ``inf``.
 
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
@@ -192,7 +193,7 @@ def _parser() -> argparse.ArgumentParser:
 
 #: CSV column prefix of each nested record member; ``point`` fields keep
 #: their own names, and any other member is its own prefix
-_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_", "abs_err": "err_"}
+_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_"}
 
 
 def _columns(record: dict) -> list[str]:
@@ -203,14 +204,13 @@ def _columns(record: dict) -> list[str]:
 
 
 def _csv_row(record: dict) -> list:
-    """Cells of ``record`` in :func:`_columns` order: floats to 17 digits, None empty."""
-    return ["" if v is None else f"{v:.17g}" if type(v) is float else v
-            for value in record.values()
+    """Values of ``record`` in :func:`_columns` order; ``csv.writer`` writes None empty."""
+    return [v for value in record.values()
             for v in (value.values() if type(value) is dict else (value,))]
 
 
-#: RFC 8259 JSON of one value; raises ValueError on a NaN or an infinity
-_encode_strict = json.JSONEncoder(allow_nan=False).encode
+#: RFC 8259 JSON of one fresh tree, so no cycle check; ValueError on a NaN or an infinity
+_encode_strict = json.JSONEncoder(allow_nan=False, check_circular=False).encode
 
 
 def _nulled(value):
@@ -293,7 +293,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
 
 def _eval(args):
     result = bessel_integral(IntegralSpec(args.mu, args.ord_, args.gamma, args.x), args.tol)
-    records = [{"value": result.value.to_dict(), "abs_err": result.abs_err.to_dict(),
+    records = [{"value": result.value.to_dict(), "rel_err": result.rel_err,
                 "segments": result.segments, "converged": result.converged}]
     return (
         {"mu": args.mu, "ord": args.ord_, "gamma": args.gamma, "x": args.x, "tol": args.tol},
@@ -357,7 +357,7 @@ def _table(args):
     table = relative_error_table(args.bound, args.nu, args.x)
     return (
         {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x)},
-        ({"nu": nu, **{f"{x:.17g}": f"{v:.4f}" for x, v in zip(table.x_values, row)}}
+        ({"nu": f"{nu:.17g}", **{f"{x:.17g}": f"{v:.4f}" for x, v in zip(table.x_values, row)}}
          for nu, row in zip(table.nu_values, table.entries)),
         lambda: {"results": [list(row) for row in table.entries],
                  "summary": {"nu_values": list(args.nu), "x_values": list(args.x)}},

@@ -116,8 +116,8 @@ class QuadResult(NamedTuple):
 
     @property
     def abs_err(self) -> ScaledValue:
-        """``|value| * rel_err``, zero when ``rel_err`` is."""
-        return (ScaledValue(1, self.log_abs + math.log(self.rel_err)) if self.rel_err
+        """``|value| * rel_err``, zero when ``rel_err`` is; InvalidDomain when it is NaN."""
+        return (ScaledValue.from_log(self.log_abs + math.log(self.rel_err)) if self.rel_err
                 else ScaledValue.zero())
 
 

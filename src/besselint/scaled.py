@@ -31,10 +31,8 @@ def exp_float(sign: int, log_abs: float) -> float:
 
 
 def log_dict(sign: int, log_abs: float) -> dict:
-    """``{sign, log_abs, decimal}`` of ``sign * exp(log_abs)``; ``decimal`` is None
-    unless the value renders as a plain float, i.e. ``|log_abs| < 700``."""
-    return {"sign": sign, "log_abs": log_abs,
-            "decimal": exp_float(sign, log_abs) if abs(log_abs) < _FLOAT_SAFE_LOG else None}
+    """``{sign, log_abs}`` of ``sign * exp(log_abs)``; :func:`exp_float` is its float."""
+    return {"sign": sign, "log_abs": log_abs}
 
 
 @dataclass(frozen=True, slots=True)

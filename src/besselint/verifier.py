@@ -60,7 +60,8 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
-_NO_ORACLE = QuadResult(0, 0.0, 0.0, 0, False)
+#: what a failed check was judged against: no value, and an error that is unknown, not 0
+_NO_ORACLE = QuadResult(0, 0.0, math.nan, 0, False)
 
 
 class Verdict(Enum):
@@ -115,12 +116,12 @@ class CheckReport(NamedTuple):
             "point": _point_dict(self),
             "bound_value": log_dict(self.bound_sign, self.bound_log),
             "oracle_value": log_dict(o.sign, o.log_abs),
-            "oracle_err": o.abs_err.to_dict(),
-            "verdict": self.verdict.value,
+            "oracle_rel_err": o.rel_err,
             "rel_margin": self.rel_margin,
             "uncertainty": self.uncertainty,
             "direction": self.direction.value,
             "reason": self.reason,
+            "verdict": self.verdict.value,  # last: a CSV reader may take it by position
         }
 
 

@@ -14,9 +14,17 @@ from dataclasses import replace
 import pytest
 
 from besselint import cli
-from besselint.bounds import BoundId, Point, geometric_tail_series
+from besselint.bounds import BoundId, Point, bound_value, geometric_tail_series
 from besselint.cli import _parser, run
+from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
+from besselint.scaled import exp_float
 from besselint.verifier import check_point, default_grid, logspace, sweep
+
+#: the CSV header of a check or sweep record; ``bench/checks.py`` reads a sweep
+#: CSV's verdict by position, as ``row[15]``, so ``verdict`` stays last
+CHECK_COLUMNS = ["bound", "nu", "n", "mu", "gamma", "x", "bound_sign", "bound_log_abs",
+                 "oracle_sign", "oracle_log_abs", "oracle_rel_err", "rel_margin",
+                 "uncertainty", "direction", "reason", "verdict"]
 
 
 def invoke(argv):
@@ -35,9 +43,10 @@ class TestEval:
         d = json.loads(text)
         assert set(d) == {"command", "parameters", "results", "summary"}
         v = d["results"][0]["value"]
-        assert v["decimal"] == pytest.approx(1.6328572258966945, rel=1e-11)
+        assert set(v) == {"sign", "log_abs"}
         assert v["sign"] == 1
-        assert math.exp(v["log_abs"]) == pytest.approx(v["decimal"], rel=1e-12)
+        assert math.exp(v["log_abs"]) == pytest.approx(1.6328572258966945, rel=1e-11)
+        assert 0.0 < d["results"][0]["rel_err"] <= 1e-10
         assert d["results"][0]["converged"] is True
 
     def test_large_value_has_no_decimal(self):
@@ -45,7 +54,7 @@ class TestEval:
                                 "--x", "750"])
         assert code == 0
         v = json.loads(text)["results"][0]["value"]
-        assert v["decimal"] is None
+        assert set(v) == {"sign", "log_abs"}
         assert v["log_abs"] > 700.0
 
     def test_zero_limit_has_a_zero_error(self):
@@ -53,7 +62,7 @@ class TestEval:
         assert code == 0
         result = json.loads(text)["results"][0]
         assert result["value"]["sign"] == 0
-        assert result["abs_err"] == {"sign": 0, "log_abs": 0.0, "decimal": 0.0}
+        assert result["rel_err"] == 0.0
 
     def test_csv_fields_round_trip_full_precision(self):
         code, text, _ = invoke(["eval", "--mu", "0.5", "--ord", "0.5", "--gamma",
@@ -61,8 +70,10 @@ class TestEval:
         assert code == 0
         header, row = text.strip().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
-        # 17 significant digits reproduce the double exactly
-        assert float(fields["value_decimal"]) == math.exp(float(fields["value_log_abs"]))
+        # the shortest round-trip digits reproduce the double exactly
+        result = bessel_integral(IntegralSpec(0.5, 0.5, 0.3, 7.0))
+        assert fields["value_log_abs"] == repr(result.log_abs)
+        assert float(fields["rel_err"]) == result.rel_err
 
 
 class TestBound:
@@ -269,6 +280,15 @@ class TestSweepVerb:
         assert lines[0].startswith("bound,nu,n,mu,gamma,x")
         assert len(lines) == 3
 
+    def test_csv_header_ends_with_the_verdict(self):
+        # bench/checks.py takes a sweep CSV's verdict as row[15]
+        code, text, _ = invoke("sweep --bounds main --nu 0 --gamma 0 --x 1 --format csv"
+                               .split())
+        assert code == 0
+        header = next(csv.reader(io.StringIO(text)))
+        assert header == CHECK_COLUMNS
+        assert header.index("verdict") == 15 == len(header) - 1
+
     def test_x_logspace(self):
         code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0",
                                 "--gamma", "0", "--x-logspace", "0.1,10,5"])
@@ -320,17 +340,72 @@ def _both_formats(argv):
     return doc, list(csv.reader(io.StringIO(text)))
 
 
-def _assert_same_scaled(d, row, prefix):
-    assert int(row[f"{prefix}_sign"]) == d["sign"]
-    assert float(row[f"{prefix}_log_abs"]) == d["log_abs"]
-    if d["decimal"] is None:
-        assert row[f"{prefix}_decimal"] == ""
-    else:
-        assert float(row[f"{prefix}_decimal"]) == d["decimal"]
-
-
 def _dict_rows(rows):
     return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def _assert_rows_agree(doc, rows, header):
+    """Each CSV row under ``header`` is its JSON result flattened, and each float
+    cell holds the JSON number's own digits, so it parses to exactly that float."""
+    assert rows[0] == header
+    assert len(rows) - 1 == len(doc["results"]) > 0
+    for row, result in zip(rows[1:], doc["results"]):
+        values = [v for value in result.values()
+                  for v in (value.values() if isinstance(value, dict) else (value,))]
+        assert len(row) == len(values) == len(header)
+        for cell, value in zip(row, values):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert cell == json.dumps(value) and float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+def _decimal(sign, log_abs):
+    """The ``decimal`` member that a ``{sign, log_abs}`` record member no longer carries."""
+    return exp_float(sign, log_abs) if abs(log_abs) < 700.0 else None
+
+
+class TestDroppedMembers:
+    """A record carries no member derived from another: each dropped one is rebuilt,
+    bit for bit, from what the record keeps."""
+
+    def test_sweep(self):
+        code, text, _ = invoke("sweep --bounds all --gamma 0".split())
+        assert code == 0
+        results = json.loads(text)["results"]
+        reports = sweep(list(BoundId), replace(default_grid(), gamma_values=(0.0,))).reports
+        assert len(results) == len(reports) == 5952
+        for result, report in zip(results, reports):
+            assert result["reason"] is None
+            b, o = result["bound_value"], result["oracle_value"]
+            assert _decimal(b["sign"], b["log_abs"]) == _decimal(report.bound_sign,
+                                                                  report.bound_log)
+            assert _decimal(o["sign"], o["log_abs"]) == _decimal(report.oracle.sign,
+                                                                  report.oracle.log_abs)
+            # the old ``oracle_err``
+            rebuilt = QuadResult(o["sign"], o["log_abs"], result["oracle_rel_err"], 0, False)
+            assert rebuilt.abs_err == report.oracle.abs_err
+
+    @pytest.mark.parametrize("x", [0.0, 2.0, 750.0])
+    def test_eval(self, x):
+        code, text, _ = invoke(f"eval --mu 0 --ord 0 --gamma 0 --x {x}".split())
+        assert code == 0
+        [result] = json.loads(text)["results"]
+        expected = bessel_integral(IntegralSpec(0.0, 0.0, 0.0, x))
+        v = result["value"]
+        assert _decimal(v["sign"], v["log_abs"]) == _decimal(expected.sign, expected.log_abs)
+        # the old ``abs_err``
+        rebuilt = QuadResult(v["sign"], v["log_abs"], result["rel_err"], 0, False)
+        assert rebuilt.abs_err == expected.abs_err
+
+    def test_bound(self):
+        code, text, _ = invoke("bound --bound lower3 --nu 0.5 --gamma 0.9 --x 4".split())
+        assert code == 0
+        v = json.loads(text)["results"][0]["value"]
+        expected = bound_value(BoundId.LOWER3, nu=0.5, gamma=0.9, x=4.0).value
+        assert _decimal(v["sign"], v["log_abs"]) == _decimal(expected.sign, expected.log_abs)
 
 
 class TestJsonCsvAgree:
@@ -340,22 +415,15 @@ class TestJsonCsvAgree:
     def test_eval(self, x):
         doc, rows = _both_formats(["eval", "--mu", "0", "--ord", "0", "--gamma", "0",
                                    "--x", x])
-        [row] = _dict_rows(rows)
-        [result] = doc["results"]
-        _assert_same_scaled(result["value"], row, "value")
-        _assert_same_scaled(result["abs_err"], row, "err")
-        assert int(row["segments"]) == result["segments"]
-        assert row["converged"] == str(result["converged"])
+        _assert_rows_agree(doc, rows, ["value_sign", "value_log_abs", "rel_err",
+                                       "segments", "converged"])
 
     def test_bound(self):
         doc, rows = _both_formats(["bound", "--bound", "lower3", "--nu", "0.5",
                                    "--gamma", "0.9", "--x", "4"])
-        [row] = _dict_rows(rows)
-        [result] = doc["results"]
-        _assert_same_scaled(result["value"], row, "value")
-        assert float(row["tail_share"]) == result["tail_share"] > 0
-        assert row["direction"] == result["direction"]
-        assert int(row["truncation_terms"]) == result["truncation_terms"]
+        _assert_rows_agree(doc, rows, ["value_sign", "value_log_abs", "direction",
+                                       "truncation_terms", "tail_share"])
+        assert doc["results"][0]["tail_share"] > 0
 
     @pytest.mark.parametrize("argv", [
         ["check", "--bound", "lower3", "--nu", "0.5", "--gamma", "0.7", "--x", "4"],
@@ -364,20 +432,7 @@ class TestJsonCsvAgree:
     ])
     def test_check_and_sweep(self, argv):
         doc, rows = _both_formats(argv)
-        rows = _dict_rows(rows)
-        assert len(rows) == len(doc["results"]) > 0
-        for row, result in zip(rows, doc["results"]):
-            assert row["bound"] == result["bound"]
-            for key, value in result["point"].items():
-                assert (row[key] == "") if value is None else (float(row[key]) == value)
-            for name, prefix in (("bound_value", "bound"), ("oracle_value", "oracle"),
-                                 ("oracle_err", "oracle_err")):
-                _assert_same_scaled(result[name], row, prefix)
-            assert row["verdict"] == result["verdict"]
-            assert float(row["rel_margin"]) == result["rel_margin"]
-            assert float(row["uncertainty"]) == result["uncertainty"]
-            assert row["direction"] == result["direction"]
-            assert row["reason"] == (result["reason"] or "")
+        _assert_rows_agree(doc, rows, CHECK_COLUMNS)
 
     def test_table(self):
         doc, rows = _both_formats(["table", "--bound", "twosided_l", "--nu", "-0.25,1",
@@ -390,9 +445,7 @@ class TestJsonCsvAgree:
     def test_tightness(self):
         doc, rows = _both_formats(["tightness", "--bound", "new1", "--nu", "1",
                                    "--x", "25,100,400"])
-        assert rows[0] == ["x", "ratio"]
-        assert [[float(v) for v in row] for row in rows[1:]] == [
-            [r["x"], r["ratio"]] for r in doc["results"]]
+        _assert_rows_agree(doc, rows, ["x", "ratio"])
 
     @pytest.mark.parametrize("mu, nu", [("0", "0"), ("1", "1")])
     def test_crossover(self, mu, nu):
@@ -469,6 +522,16 @@ class TestJsonLayout:
         rows = [r for r in csv.DictReader(io.StringIO(text)) if r["rel_margin"] == margin]
         assert len(rows) == len(nulls) > 0
         assert all((r["uncertainty"] == "inf") == uncertain for r in rows)
+
+    def test_failed_check_has_a_null_oracle_error(self):
+        # the oracle fails at x = 2e5: its error is unknown, not the 0 of an exact value
+        doc, rows = _both_formats("sweep --bounds main --nu 0 --gamma 0 --x 1,2e5".split())
+        done, failed = doc["results"]
+        assert done["reason"] is None and 0.0 < done["oracle_rel_err"] < 1e-10
+        assert failed["reason"].startswith("NonConvergence: ")
+        assert failed["oracle_rel_err"] is None
+        assert [row["oracle_rel_err"] for row in _dict_rows(rows)] == [
+            repr(done["oracle_rel_err"]), "nan"]
 
     def test_one_line_per_record(self):
         _, text, _ = invoke(["sweep", "--bounds", "main,prop1", "--nu", "0", "--gamma", "0",
@@ -596,7 +659,7 @@ class TestHugeFiniteInputs:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [(r["nu"], r["verdict"]) for r in rows] == (
-            [("1", "holds")] * 7 + [("9.9999999999999997e+199", "inconclusive")] * 7)
+            [("1.0", "holds")] * 7 + [("1e+200", "inconclusive")] * 7)
         assert all(r["reason"] == "" for r in rows[:7])
         assert all(r["reason"].startswith("InvalidDomain: ") for r in rows[7:])
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from besselint.scaled import ScaledValue
+from besselint.scaled import ScaledValue, exp_float
 
 
 def test_zero_is_canonical():
@@ -83,8 +83,11 @@ def test_to_float_saturates():
 ])
 def test_dict_round_trip(value, decimal):
     d = value.to_dict()
-    assert d == {"sign": value.sign, "log_abs": value.log_abs, "decimal": decimal}
+    assert d == {"sign": value.sign, "log_abs": value.log_abs}
     assert json.loads(json.dumps(d)) == d  # JSON keeps every member exactly
+    # the dropped ``decimal`` member, a plain float where |log_abs| < 700, is rebuilt
+    rebuilt = exp_float(d["sign"], d["log_abs"]) if abs(d["log_abs"]) < 700.0 else None
+    assert rebuilt == decimal
 
 
 def test_rel_gap():

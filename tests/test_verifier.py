@@ -216,6 +216,10 @@ class TestSweep:
         assert (far.point.x, far.verdict) == (2e5, Verdict.INCONCLUSIVE)
         assert far.reason == ("NonConvergence: F(mu=0.0, ord=0.0, gamma=0.0, x=200000.0) "
                               "needs more than 100000 series terms")
+        # its oracle error is unknown, not the 0 of an exact value
+        assert math.isnan(far.oracle.rel_err)
+        with pytest.raises(InvalidDomain):
+            far.oracle.abs_err
         assert res.counts == {"holds": 1, "violated": 0, "inconclusive": 1}
 
     def test_infinite_limit_fails_alone(self):
