@@ -1,15 +1,16 @@
 """Closed-form bounds for the incomplete Bessel integral family.
 
 Every bound in the catalog targets an integral of the form
-``integral_0^x e^(-gamma t) t^mu I_ord(t) dt``.  :func:`row_step` forms a
-(bound, nu, n, mu, gamma) row's x-free coefficients once, and its step at each
-x gives a ``(sign, log)`` pair: the prefactor ``e^(-gamma x) x^power`` is a log
-term and the Bessel combination one ``math.fsum`` scaled by its largest ``I``,
-so nothing overflows.  Every coefficient is fixed per row but three, each its
-bound's first: NEED2's ``(2(v+1)/x + g)/(2v+1)``, the LOWER2/INTINEQ0 bracket and
-the LOWER1/LOWER3 series (a float relative to ``I_{v+1}``) are formed per x and
-passed into the row's one combination step (see :func:`_combination`); where the
-first two overflow at tiny x, a second step takes one 1/x into the power.
+``integral_0^x e^(-gamma t) t^mu I_ord(t) dt`` and declares itself as data: a
+power and one to three terms ``(c_i, o_i)`` of ``e^(-gamma x) x^power sum_i c_i I_{o_i}``.
+:func:`row_step` reads a (bound, nu, n, mu, gamma) row's data once, and its step at
+each x gives a ``(sign, log)`` pair: the prefactor is a log term and the Bessel
+combination one ``math.fsum`` scaled by its largest ``I``, so nothing overflows.
+Every coefficient is a float fixed per row but three per-x forms, each its bound's
+first: NEED2's ``(2(v+1)/x + g)/(2v+1)``, the LOWER2/INTINEQ0 bracket and the
+LOWER1/LOWER3 series (relative to ``I_{v+1}``).  Where one is not finite at a tiny
+x, one 1/x goes into the power, the coefficient becomes its declared limit of
+``x c`` as x -> 0, and the later terms drop.
 
 Catalog summary (``F(mu, ord)`` denotes the integral of
 ``e^(-gamma t) t^mu I_ord(t)``):
@@ -62,6 +63,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import kernel
@@ -88,6 +90,7 @@ __all__ = [
 #: LOWER1/LOWER3 stop once the certified tail is below this share of the sum
 _SERIES_TOL = 1e-12
 _ZERO = ScaledValue.zero()
+_nu = attrgetter("nu")
 
 
 class Direction(Enum):
@@ -223,17 +226,26 @@ def geometric_tail_series(nu: float, gamma: float, x: float) -> tuple[float, int
 # catalog
 # ----------------------------------------------------------------------
 
+class _PerX(NamedTuple):
+    """A coefficient formed at each x: ``at(x)`` is ``(c, series terms, tail share)``,
+    and ``x c`` tends to ``limit`` as x -> 0."""
+
+    at: Callable[[float], tuple[float, int, float]]
+    limit: float
+
+
 @dataclass(frozen=True, slots=True)
 class _Entry:
-    """One catalog bound: the axes it uses, its own hypotheses (checked after
-    ``x > 0`` and ``0 <= gamma < 1``), its row evaluator, the integral it bounds
-    and its direction; all but the integral ignore x.  ``evaluate_row(row)`` is
-    the step ``x -> (sign, log, series terms, tail share)`` (log -inf for zero)."""
+    """One catalog bound ``e^-gx x^power(row) sum_i c_i I_{o_i}``: the axes it uses, its
+    own hypotheses (checked after ``x > 0`` and ``0 <= gamma < 1``), its power, its one to
+    three terms ``(c_i, o_i)`` (each ``c_i`` a float, or for the first a :class:`_PerX`
+    form), the integral it bounds and its direction; all but the integral ignore x."""
 
     uses_n: bool
     uses_mu: bool
     hypothesis: Callable[[Point], Optional[str]]
-    evaluate_row: Callable[[Point], Callable[[float], tuple[int, float, int, float]]]
+    power: Callable[[Point], float]
+    terms: Callable[[Point], tuple[tuple[float | _PerX, float], ...]]
     integrand: Callable[[Point], IntegralSpec]
     direction_at: Callable[[Point], Direction]
 
@@ -263,10 +275,10 @@ def _combination(gamma: float, power: float, *terms: tuple[Optional[float], floa
     A ``c_i`` of None (the first term's only) is formed per x and passed as the
     step's ``c``.  A term whose ``c_i sign(I_i)`` is 0 drops out: its log is -inf
     in the max, it adds an exact 0 to the fsum, and its ``I_i`` is not formed
-    when ``c_i`` is 0.  One term gives ``log I + log|c|``, the fsum's bits.  After
-    the prefactor, a coefficient that is not finite raises, once the ``I`` of
-    each term before it is formed, the :class:`InvalidDomain` that a
-    ScaledValue made from it would."""
+    when ``c_i`` is 0.  One term gives ``log I + log|c|``, the fsum's bits.  A log
+    prefactor of NaN or +inf raises (-inf is an underflow to zero); after it, a
+    coefficient that is not finite raises, once the ``I`` of each term before it is
+    formed, the :class:`InvalidDomain` that a ScaledValue made from it would."""
     (c0, o0), *rest = terms
     rest = [(a, order) for a, order in rest if a]
     cut = next((k for k, (a, _) in enumerate(rest) if not math.isfinite(a)), len(rest))
@@ -274,7 +286,9 @@ def _combination(gamma: float, power: float, *terms: tuple[Optional[float], floa
     (c1, o1), (c2, o2) = rest[:cut] + [(0.0, o0)] * (2 - cut)  # a 0 pads to three
 
     def step(x: float, c: Optional[float] = c0):
-        pre = _log_prefactor(gamma, power, x)
+        pre = -gamma * x + power * math.log(x)
+        if math.isnan(pre) or pre == math.inf:
+            raise InvalidDomain(f"non-finite log magnitude {pre!r}")
         if not math.isfinite(c):
             raise InvalidDomain(f"cannot represent {c!r} as a ScaledValue")
         i = kernel.besseli(o0, x) if c else _ZERO
@@ -295,14 +309,6 @@ def _combination(gamma: float, power: float, *terms: tuple[Optional[float], floa
     return step
 
 
-def _log_prefactor(gamma: float, power: float, x: float) -> float:
-    """``log(e^-gx x^power)``; NaN or +inf raises (-inf is an underflow to zero)."""
-    pre = -gamma * x + power * math.log(x)
-    if math.isnan(pre) or pre == math.inf:
-        raise InvalidDomain(f"non-finite log magnitude {pre!r}")
-    return pre
-
-
 def _family_nu_nu(p: Point) -> IntegralSpec:
     return IntegralSpec(p.nu, p.nu, p.gamma, p.x)
 
@@ -319,16 +325,14 @@ def _nu_gt(threshold: float):
 
 # -- constant-times-I bounds for F(nu, nu) ------------------------------
 
-def _const_times_i(num: Callable[[float], float]):
-    """Row evaluator of ``num(nu)/((2 nu+1)(1-g)) e^-gx x^nu I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
-    return lambda p: _combination(
-        p.gamma, p.nu, (num(p.nu) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)), p.nu + 1.0))
+def _i_nu1_terms(num: Callable[[float], float]):
+    """Terms of ``num(nu)/((2 nu+1)(1-g)) I_{nu+1}`` (MAIN, SIMPLE, GAU1)."""
+    return lambda p: ((num(p.nu) / ((2.0 * p.nu + 1.0) * (1.0 - p.gamma)), p.nu + 1.0),)
 
 
-def _v_baaad(p: Point):
+def _baaad_terms(p: Point):
     d = (2.0 * p.nu + 1.0) * (1.0 - p.gamma)
-    return _combination(p.gamma, p.nu, (2.0 * (p.nu + 1.0) / d, p.nu + 1.0),
-                        (-1.0 / d, p.nu + 3.0))
+    return (2.0 * (p.nu + 1.0) / d, p.nu + 1.0), (-1.0 / d, p.nu + 3.0)
 
 
 def _ok_halfplus(p: Point) -> Optional[str]:
@@ -365,18 +369,18 @@ def _new1_regime(p: Point) -> tuple[Direction, Optional[str]]:
     return Direction.UPPER, reason
 
 
-def _v_new1(p: Point):
+def _new1_terms(p: Point):
     a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
-    return _combination(p.gamma, p.nu, (2.0 * a / s / (1.0 - p.gamma), p.nu + p.n + 1.0),
-                        (-(p.n + 1.0) / s / (1.0 - p.gamma), p.nu + p.n + 3.0))
+    return ((2.0 * a / s / (1.0 - p.gamma), p.nu + p.n + 1.0),
+            (-(p.n + 1.0) / s / (1.0 - p.gamma), p.nu + p.n + 3.0))
 
 
-def _v_lower4(p: Point):
+def _lower4_terms(p: Point):
     a, s = p.nu + (p.n + 1.0), 4.0 * math.fsum((0.5 * p.nu, 0.25 * p.n, 0.25))
     s3 = 2.0 * p.nu + p.n + 3.0
-    return _combination(p.gamma, p.nu, (2.0 * a / s, p.nu + p.n + 1.0),
-                        (-2.0 * (p.n + 1.0) * (p.nu + p.n + 3.0) / s3 / s, p.nu + p.n + 3.0),
-                        ((p.n + 1.0) * (p.n + 3.0) / s3 / s, p.nu + p.n + 5.0))
+    return ((2.0 * a / s, p.nu + p.n + 1.0),
+            (-2.0 * (p.n + 1.0) * (p.nu + p.n + 3.0) / s3 / s, p.nu + p.n + 3.0),
+            ((p.n + 1.0) * (p.n + 3.0) / s3 / s, p.nu + p.n + 5.0))
 
 
 def _ok_gamma_zero(p: Point) -> Optional[str]:
@@ -388,17 +392,12 @@ def _ok_gamma_zero(p: Point) -> Optional[str]:
 
 # -- series lower bounds -------------------------------------------------
 
-def _geometric(power_offset: float):
-    """Row evaluator of ``e^-gx x^(nu+power_offset) sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3)."""
-    def evaluate_row(p: Point):
-        combination = _combination(p.gamma, p.nu + power_offset, (None, p.nu + 1.0))
-
-        def step(x: float):
-            total, terms, tail = geometric_tail_series(p.nu, p.gamma, x)
-            sign, log, _, _ = combination(x, total)
-            return sign, log, terms, tail / total
-        return step
-    return evaluate_row
+def _series_terms(p: Point):
+    """``sum_k g^k I_{nu+k+1}`` (LOWER1, LOWER3): its total relative to ``I_{nu+1}``."""
+    def at(x: float):
+        total, terms, tail = geometric_tail_series(p.nu, p.gamma, x)
+        return total, terms, tail / total
+    return (_PerX(at, 0.0), p.nu + 1.0),
 
 
 def _lower1_direction(p: Point) -> Direction:
@@ -409,20 +408,16 @@ def _lower1_direction(p: Point) -> Direction:
 
 # -- reciprocal-x corrected lower bounds ---------------------------------
 
-def _v_lower2_like(p: Point):
+def _bracket_terms(p: Point):
+    """``(1 - num/(den x)) I_nu/(1-g)`` (INTINEQ0, LOWER2); ``x c`` tends to ``-num/den/(1-g)``."""
     nu2, c = 2.0 * p.nu, c_nu(p.nu - 1.0)
     num, den = nu2 * (nu2 + c), (nu2 - 1.0) * (1.0 - p.gamma)
     if num == math.inf:  # past nu ~ 1e154 only the ratios of the factors are finite
         num, den = nu2 / (nu2 - 1.0) * ((nu2 + c) / (1.0 - p.gamma)), 1.0
-    combination = _combination(p.gamma, p.nu, (None, p.nu))
-    # where num/(den x) overflows or den x underflows to 0, x is below a rounding unit
-    # of num/den, and one 1/x goes into the power: -(num/den) e^-gx x^(v-1) I_v/(1-g)
-    tiny = _combination(p.gamma, p.nu - 1.0, (-num / den / (1.0 - p.gamma), p.nu))
 
-    def step(x: float):  # the bracket is 1 - num/(den x)
-        c = (1.0 - num / (den * x)) / (1.0 - p.gamma) if den * x else math.inf
-        return combination(x, c) if math.isfinite(c) else tiny(x)
-    return step
+    def at(x: float):  # a den x that underflows to 0 gives an infinite bracket
+        return (1.0 - num / (den * x)) / (1.0 - p.gamma) if den * x else math.inf, 0, 0.0
+    return (_PerX(at, -num / den / (1.0 - p.gamma)), p.nu),
 
 
 # -- remaining individual bounds -----------------------------------------
@@ -435,24 +430,12 @@ def _ok_prop1(p: Point) -> Optional[str]:
     return None
 
 
-def _v_prop1(p: Point):
-    if p.mu is None:
-        raise InvalidDomain("PROP1 needs mu")
-    return _combination(p.gamma, p.mu, (1.0 / (1.0 - p.gamma), p.nu))
-
-
-def _v_need2(p: Point):
+def _need2_terms(p: Point):
+    """``(a/x + g)/d I_{nu+1} + (g^2/d) I_{nu+2}``; ``x c`` tends to ``a/d``."""
     d = 2.0 * p.nu + 1.0
     a, g2 = 2.0 * (p.nu + 1.0), p.gamma * p.gamma / d
-    combination = _combination(p.gamma, p.nu + 1.0, (None, p.nu + 1.0), (g2, p.nu + 2.0))
-    # where (a/x + g)/d overflows, g x and the I_{v+2} term are below a rounding unit
-    # of a, and one 1/x goes into the power: (a/d) e^-gx x^v I_{v+1}
-    tiny = _combination(p.gamma, p.nu, (a / d, p.nu + 1.0))
-
-    def step(x: float):
-        c = (a / x + p.gamma) / d
-        return combination(x, c) if math.isfinite(c) else tiny(x)
-    return step
+    return ((_PerX(lambda x: ((a / x + p.gamma) / d, 0, 0.0), a / d), p.nu + 1.0),
+            (g2, p.nu + 2.0))
 
 
 def _ok_day(p: Point) -> Optional[str]:
@@ -463,41 +446,38 @@ def _ok_day(p: Point) -> Optional[str]:
     return None
 
 
-def _v_day(p: Point):
-    return _combination(p.gamma, p.nu, (1.0, p.nu + p.n + 3.0))
-
-
-_NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _v_new1, _family_nu_nun,
+_NEW1 = _Entry(True, False, lambda p: _new1_regime(p)[1], _nu, _new1_terms, _family_nu_nun,
                lambda p: _new1_regime(p)[0])
-_LOWER4 = _Entry(True, False, _ok_lower4, _v_lower4, _family_nu_nun, _lower)
+_LOWER4 = _Entry(True, False, _ok_lower4, _nu, _lower4_terms, _family_nu_nun, _lower)
+_LOWER2 = _Entry(False, False, _nu_gt(0.5), _nu, _bracket_terms, _family_nu_nu, _lower)
 
 CATALOG: dict[BoundId, _Entry] = {
-    BoundId.MAIN: _Entry(False, False, _nu_gt(-0.5),
-                         _const_times_i(lambda nu: 2.0 * (nu + 1.0) + c_nu(nu)),
+    BoundId.MAIN: _Entry(False, False, _nu_gt(-0.5), _nu,
+                         _i_nu1_terms(lambda nu: 2.0 * (nu + 1.0) + c_nu(nu)),
                          _family_nu_nu, _upper),
-    BoundId.SIMPLE: _Entry(False, False, _nu_gt(-0.5),
-                           _const_times_i(lambda nu: 2.0 * nu + 3.0), _family_nu_nu, _upper),
-    BoundId.GAU1: _Entry(False, False, _ok_halfplus,
-                         _const_times_i(lambda nu: 2.0 * (nu + 1.0)), _family_nu_nu, _upper),
-    BoundId.BAAAD: _Entry(False, False, _ok_halfplus, _v_baaad, _family_nu_nu, _upper),
+    BoundId.SIMPLE: _Entry(False, False, _nu_gt(-0.5), _nu,
+                           _i_nu1_terms(lambda nu: 2.0 * nu + 3.0), _family_nu_nu, _upper),
+    BoundId.GAU1: _Entry(False, False, _ok_halfplus, _nu,
+                         _i_nu1_terms(lambda nu: 2.0 * (nu + 1.0)), _family_nu_nu, _upper),
+    BoundId.BAAAD: _Entry(False, False, _ok_halfplus, _nu, _baaad_terms, _family_nu_nu, _upper),
     BoundId.NEW1: _NEW1,
     BoundId.LOWER4: _LOWER4,
     BoundId.TWOSIDED_L: replace(_LOWER4, hypothesis=_ok_gamma_zero),
     BoundId.TWOSIDED_U: replace(_NEW1, hypothesis=_ok_gamma_zero, direction_at=_upper),
     BoundId.LOWER1: _Entry(
-        False, False, _nu_gt(-1.0), _geometric(1.0),
+        False, False, _nu_gt(-1.0), lambda p: p.nu + 1.0, _series_terms,
         lambda p: IntegralSpec(p.nu + 1.0, p.nu, p.gamma, p.x), _lower1_direction),
-    BoundId.LOWER3: _Entry(False, False, _nu_gt(-0.5), _geometric(0.0), _family_nu_nu, _lower),
-    BoundId.INTINEQ0: _Entry(
-        False, False, _nu_gt(0.5), _v_lower2_like,
-        lambda p: IntegralSpec(p.nu, p.nu + 1.0, p.gamma, p.x), _lower),
-    BoundId.LOWER2: _Entry(False, False, _nu_gt(0.5), _v_lower2_like, _family_nu_nu, _lower),
+    BoundId.LOWER3: _Entry(False, False, _nu_gt(-0.5), _nu, _series_terms, _family_nu_nu, _lower),
+    BoundId.INTINEQ0: replace(
+        _LOWER2, integrand=lambda p: IntegralSpec(p.nu, p.nu + 1.0, p.gamma, p.x)),
+    BoundId.LOWER2: _LOWER2,
     BoundId.PROP1: _Entry(
-        False, True, _ok_prop1, _v_prop1,
+        False, True, _ok_prop1, lambda p: p.mu, lambda p: ((1.0 / (1.0 - p.gamma), p.nu),),
         lambda p: IntegralSpec(p.mu, p.nu, p.gamma, p.x), _upper),
-    BoundId.NEED2: _Entry(False, False, _nu_gt(-0.5), _v_need2, _family_nu_nu, _upper),
+    BoundId.NEED2: _Entry(False, False, _nu_gt(-0.5), lambda p: p.nu + 1.0, _need2_terms,
+                          _family_nu_nu, _upper),
     BoundId.DAY: _Entry(
-        True, False, _ok_day, _v_day,
+        True, False, _ok_day, _nu, lambda p: ((1.0, p.nu + p.n + 3.0),),
         lambda p: IntegralSpec(p.nu, p.nu + p.n + 2.0, p.gamma, p.x), _lower),
 }
 
@@ -509,12 +489,30 @@ def check_row(id: BoundId, row: Point, xs: Iterable[float]) -> None:
             raise InvalidDomain(f"{id.value}: violated hypothesis: {reason}")
 
 
+def _row_combination(id: BoundId, entry: _Entry, row: Point):
+    """The step of ``entry``'s declared power and terms along ``row`` (see :func:`row_step`)."""
+    if entry.uses_mu and row.mu is None:
+        raise InvalidDomain(f"{id.value}: mu must be supplied")
+    gamma, power, terms = row.gamma, entry.power(row), entry.terms(row)
+    form, order = terms[0]
+    if not isinstance(form, _PerX):
+        return _combination(gamma, power, *terms)
+    combination, at = _combination(gamma, power, (None, order), *terms[1:]), form.at
+
+    def per_x(x: float) -> tuple[int, float, int, float]:
+        c, terms, share = at(x)  # where c is not finite, one 1/x goes into the power
+        sign, log, _, _ = (combination(x, c) if math.isfinite(c) else
+                           _combination(gamma, power - 1.0, (form.limit, order))(x))
+        return sign, log, terms, share
+    return per_x
+
+
 def row_step(id: BoundId, row: Point) -> Callable[[float], tuple[int, float, int, float]]:
     """``id`` along the (nu, n, mu, gamma) row ``row`` without its hypotheses (see
     :func:`check_row`): ``x -> (sign, log, series terms, tail share)``, zero as
-    ``(0, 0.0, terms, share)``, with coefficients formed at the first x (so a row
-    that raises does so at every x).  ``x <= 0``, outside the integral's domain,
-    and a division by zero raise InvalidDomain naming ``id``."""
+    ``(0, 0.0, terms, share)``, built at the first x from the entry's power and terms
+    (so a row that raises does so at every x).  ``x <= 0``, outside the integral's
+    domain, a missing mu and a division by zero raise InvalidDomain naming ``id``."""
     entry, evaluate = CATALOG[id], None
 
     def step(x: float) -> tuple[int, float, int, float]:
@@ -522,7 +520,7 @@ def row_step(id: BoundId, row: Point) -> Callable[[float], tuple[int, float, int
         if not x > 0:
             raise InvalidDomain(f"{id.value}: the integral needs x > 0 (got x={x})")
         try:
-            evaluate = evaluate or entry.evaluate_row(row)
+            evaluate = evaluate or _row_combination(id, entry, row)
             sign, log, terms, share = evaluate(x)
         except ZeroDivisionError:  # e.g. gamma = 1 off the hypotheses, or a divisor underflows
             raise InvalidDomain(f"{id.value}: the closed form divides by zero here") from None

@@ -563,6 +563,47 @@ def _closed_form(bid: BoundId, p: Point, series_terms: int):
     return mp.exp(-g * x) * x ** power, terms
 
 
+def _declared_form(bid: BoundId, p: Point, series_terms: int):
+    """``(power, power magnitude, [(c_i, magnitude, o_i)])`` of ``bid`` at ``p`` from
+    the catalog table: the power and the coefficients (a per-x one at ``p.x``) in
+    the current mpmath precision, each with the sum of the magnitudes it is formed
+    from, and the orders as floats, added as the table writes them."""
+    nu, n, g, x = (mp.mpf(v) for v in (p.nu, p.n, p.gamma, p.x))
+    c_v = max(0, -4 * nu * (nu + 1))
+    d = (2 * nu + 1) * (1 - g)
+    s, s3 = 2 * nu + n + 1, 2 * nu + n + 3
+    power, B = nu, BoundId
+    if bid in (B.NEW1, B.TWOSIDED_U):
+        terms = [(2 * (nu + n + 1) / (s * (1 - g)), p.nu + p.n + 1.0),
+                 (-(n + 1) / (s * (1 - g)), p.nu + p.n + 3.0)]
+    elif bid in (B.LOWER4, B.TWOSIDED_L):
+        terms = [(2 * (nu + n + 1) / s, p.nu + p.n + 1.0),
+                 (-2 * (n + 1) * (nu + n + 3) / (s3 * s), p.nu + p.n + 3.0),
+                 ((n + 1) * (n + 3) / (s3 * s), p.nu + p.n + 5.0)]
+    elif bid in (B.MAIN, B.SIMPLE, B.GAU1):
+        num = {B.MAIN: 2 * (nu + 1) + c_v, B.SIMPLE: 2 * nu + 3, B.GAU1: 2 * (nu + 1)}[bid]
+        terms = [(num / d, p.nu + 1.0)]
+    elif bid is B.BAAAD:
+        terms = [(2 * (nu + 1) / d, p.nu + 1.0), (-1 / d, p.nu + 3.0)]
+    elif bid in (B.LOWER1, B.LOWER3):
+        run = _mp_besseli_run(nu + 1, series_terms, x)
+        power = nu + 1 if bid is B.LOWER1 else nu
+        terms = [(mp.fsum(g ** k * i for k, i in enumerate(run)) / run[0], p.nu + 1.0)]
+    elif bid in (B.INTINEQ0, B.LOWER2):
+        # the bracket cancels: it is exactly 0 at nu = 1, gamma = 0, x = 4
+        a = 2 * nu * (2 * nu + max(0, -4 * (nu - 1) * nu)) / ((2 * nu - 1) * (1 - g) * x)
+        return power, abs(power), [((1 - a) / (1 - g), (1 + abs(a)) / (1 - g), p.nu)]
+    elif bid is B.PROP1:
+        power, terms = mp.mpf(p.mu), [(1 / (1 - g), p.nu)]
+    elif bid is B.NEED2:
+        power, terms = nu + 1, [((2 * (nu + 1) / x + g) / (2 * nu + 1), p.nu + 1.0),
+                                (g * g / (2 * nu + 1), p.nu + 2.0)]
+    else:
+        terms = [(mp.mpf(1), p.nu + p.n + 3.0)]
+    magnitude = abs(nu) + 1 if bid in (B.LOWER1, B.NEED2) else abs(power)
+    return power, magnitude, [(c, abs(c), order) for c, order in terms]
+
+
 @pytest.mark.parametrize("bid", list(BoundId), ids=[b.value for b in BoundId])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(nu=st.floats(-1.0, 10.0), n=st.floats(-3.0, 3.0), mu_over_nu=st.floats(0.0, 10.0),
@@ -572,7 +613,9 @@ def _closed_form(bid: BoundId, p: Point, series_terms: int):
 @example(nu=-0.49, n=0.0, mu_over_nu=0.0, gamma=0.0, x=logspace(1e-3, 200.0, 24)[-1])
 def test_bound_value_against_mpmath_closed_form(bid, nu, n, mu_over_nu, gamma, x):
     """Every bound matches its closed form at 40 digits to 1e-13 times the
-    condition number ``sum |c_i I_i| / |sum c_i I_i|`` of its combination."""
+    condition number ``sum |c_i I_i| / |sum c_i I_i|`` of its combination, and its
+    declared power, orders and coefficients are the table's: the orders exactly,
+    the rest to 1e-14 of the magnitudes they are formed from."""
     entry = CATALOG[bid]
     p = Point(nu=nu, n=n if entry.uses_n else 0.0,
               mu=nu + mu_over_nu if entry.uses_mu else None, gamma=gamma, x=x)
@@ -583,6 +626,13 @@ def test_bound_value_against_mpmath_closed_form(bid, nu, n, mu_over_nu, gamma, x
         exact = pre * mp.fsum(terms)
         cond = mp.fsum(abs(t) for t in terms) / abs(mp.fsum(terms))
         err = abs(ev.value.sign * mp.exp(ev.value.log_abs) - exact) / abs(exact)
+        power, power_magnitude, table = _declared_form(bid, p, ev.truncation_terms)
+        declared = entry.terms(p)
+        assert [order for _, order in declared] == [order for _, _, order in table]
+        assert abs(entry.power(p) - power) <= 1e-14 * power_magnitude, (entry.power(p), power)
+        for (c, _), (expected, magnitude, _) in zip(declared, table):
+            c = c.at(p.x)[0] if isinstance(c, bounds._PerX) else c
+            assert abs(c - expected) <= 1e-14 * magnitude, (c, expected)
     assert err <= 1e-13 * max(1.0, float(cond)), (err, cond)
 
 
@@ -616,6 +666,22 @@ def test_tiny_x_coefficient_overflow(bid, nu, gamma, x):
         exact = pre * mp.fsum(terms)
         assert ev.sign == mp.sign(exact)
         assert abs(mp.exp(ev.log_abs) / abs(exact) - 1) < 2 * 2.0 ** -53 * abs(ev.log_abs)
+
+
+# the smallest float x whose per-x coefficient is finite, and the float below it,
+# where one 1/x goes into the power: the logs are frozen bit for bit on both sides
+@pytest.mark.parametrize("bid, nu, gamma, x, log_abs, log_below", [
+    (BoundId.NEED2, 1.0, 0.5, 2.225073858507202e-308, -2126.9810150660196, -2126.98101506602),
+    (BoundId.LOWER2, 1.0, 0.0, 2.225073858507202e-308, -707.7032713517041, -707.7032713517041),
+    (BoundId.INTINEQ0, 1.0, 0.5, 8.900295434028808e-308, -704.9306826294643,
+     -704.9306826294643),
+])
+def test_tiny_x_switch_point(bid, nu, gamma, x, log_abs, log_below):
+    below = math.nextafter(x, 0.0)
+    (c, _), *_ = CATALOG[bid].terms(Point(nu=nu, gamma=gamma))
+    assert math.isfinite(c.at(x)[0]) and not math.isfinite(c.at(below)[0])
+    assert bound_value(bid, nu=nu, gamma=gamma, x=x).log_abs == log_abs
+    assert bound_value(bid, nu=nu, gamma=gamma, x=below).log_abs == log_below
 
 
 class TestSteinFactors:

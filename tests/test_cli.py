@@ -135,6 +135,13 @@ class TestCheck:
         assert err == (f"besselint check: InvalidDomain: {bound}: "
                        "the closed form divides by zero here\n")
 
+    def test_exploratory_prop1_without_mu_is_usage_error(self):
+        # PROP1's power is mu: an unchecked step without one names the hypothesis
+        code, out, err = invoke("check --bound prop1 --nu 1 --x 1 --exploratory".split())
+        assert code == 2
+        assert out == ""
+        assert err == "besselint check: InvalidDomain: prop1: mu must be supplied\n"
+
     def test_tiny_x_divisor_is_no_zero_divisor(self):
         # inside the hypotheses, (2 nu - 1)(1 - gamma) x underflows to 0 here: the
         # bracket's 1/x goes into the power, and the negative lower bound holds

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point, bound_value, row_step
-from besselint import cli, oracle
+from besselint import bounds, cli, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
 from besselint.scaled import ScaledValue
@@ -148,8 +148,9 @@ class TestZeroMargin:
     ])
     def test_equal_logs_give_a_signed_zero(self, monkeypatch, bid, point, direction, sign):
         o = bessel_integral(CATALOG[bid].integrand(point))  # the oracle at the default tol
-        monkeypatch.setitem(CATALOG, bid, replace(
-            CATALOG[bid], evaluate_row=lambda row: lambda x: (o.sign, o.log_abs, 0, 0.0)))
+        # the one place that turns a row's terms into its step gives the oracle's bits
+        monkeypatch.setattr(bounds, "_combination",
+                            lambda *row: lambda x, c=None: (o.sign, o.log_abs, 0, 0.0))
         grid = Grid((point.nu,), (point.gamma,), (point.x,), n_values=(point.n,))
         (swept,) = sweep([bid], grid).reports
         for r in (swept, check_point(bid, point)):
@@ -286,12 +287,12 @@ class TestSweep:
         clean = sweep([BoundId.MAIN], g)
         entry = CATALOG[BoundId.MAIN]
 
-        def evaluate_row(row):
+        def terms(row):
             if row.nu == 1.0:
                 raise ZeroDivisionError("float division by zero")
-            return entry.evaluate_row(row)
+            return entry.terms(row)
 
-        monkeypatch.setitem(CATALOG, BoundId.MAIN, replace(entry, evaluate_row=evaluate_row))
+        monkeypatch.setitem(CATALOG, BoundId.MAIN, replace(entry, terms=terms))
         res = sweep([BoundId.MAIN], g)
         assert res.reports[:3] == clean.reports[:3]
         for r, c in zip(res.reports[3:], clean.reports[3:]):
