@@ -12,13 +12,17 @@ neither pass nor failure.
 Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
 once, grouped by mu + ord + 1: checks that share an integral share its oracle
 result, and an integral whose series fails turns only its checks INCONCLUSIVE.
-Each row's verdicts come from one loop, and a single check is a one-x row.
+Each row's verdicts come from one loop, and a single check is a one-x row.  A
+:class:`SweepResult` keeps each row's checks as columns and builds a record when read.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections.abc
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -140,22 +144,56 @@ class SkippedPoint(NamedTuple):
         return {"bound": self.bound.value, "point": _point_dict(self), "reason": self.reason}
 
 
+class _Records(collections.abc.Sequence):
+    """The read-only records of per-row entries ``(bound, nu, n, mu, gamma, xs,
+    *columns)``, in row order, with one column per record field after ``x``: a
+    row's records are built each time they are read, and a slice is a list."""
+
+    def __init__(self, rows: list[tuple], record: type) -> None:
+        self._rows, self._record = rows, record
+        self._starts = list(itertools.accumulate((len(row[5]) for row in rows), initial=0))
+
+    def _build(self, row: tuple) -> list:
+        # a record's fields as one tuple: no Python-level constructor per record
+        head, record, new = row[:5], self._record, tuple.__new__
+        return [new(record, head + fields) for fields in zip(*row[5:])]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(self._build, self._rows))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self))[index]  # counts from the end if negative; IndexError past it
+        k = bisect.bisect_right(self._starts, i) - 1
+        return self._build(self._rows[k])[i - self._starts[k]]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, _Records)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class SweepResult:
-    reports: list[CheckReport]
-    skipped: list[SkippedPoint]
+    """A sweep's reports and skipped points, each a read-only sequence whose
+    records are built when read, in canonical order, and its verdict counts."""
+
+    reports: Sequence[CheckReport]
+    skipped: Sequence[SkippedPoint]
     counts: dict[str, int]
 
 
-def _row_reports(bid: BoundId, row: Point, direction: Direction,
-                 step: Callable[[float], tuple[int, float, int, float]],
-                 results: Iterable[tuple[float, QuadResult | BesselIntError]]
-                 ) -> list[CheckReport]:
-    """The verdicts on the bound's :func:`row_step` ``step`` at each ``(x, oracle
-    result)`` of ``results`` in ``row``.  An error, given in place of the oracle
-    result or raised by the step, makes its check INCONCLUSIVE with the reason."""
+def _row_reports(direction: Direction, step: Callable[[float], tuple[int, float, int, float]],
+                 results: Iterable[tuple[float, QuadResult | BesselIntError]]) -> list[tuple]:
+    """Each check's :class:`CheckReport` fields after ``x``, on a bound's :func:`row_step`
+    ``step`` at each ``(x, oracle result)`` of ``results``.  An error, given in place of
+    the oracle result or raised by the step, makes its check INCONCLUSIVE with the reason."""
     upper, equality = direction is Direction.UPPER, direction is Direction.EQUALITY
-    nu, n, mu, gamma, new = row.nu, row.n, row.mu, row.gamma, tuple.__new__
     reports = []
     for x, oracle in results:
         if not isinstance(oracle, BesselIntError):
@@ -174,15 +212,12 @@ def _row_reports(bid: BoundId, row: Point, direction: Direction,
                        + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
                 verdict = (_HOLDS if margin > unc else
                            _VIOLATED if margin < -unc else _INCONCLUSIVE)
-                # the report's fields as one tuple: no Python-level constructor per check
-                reports.append(new(CheckReport, (bid, nu, n, mu, gamma, x, sign, log, oracle,
-                                                 verdict, margin, unc, direction, None)))
+                reports.append((sign, log, oracle, verdict, margin, unc, direction, None))
                 continue
             except BesselIntError as exc:
                 oracle = exc
-        reports.append(CheckReport(
-            bid, nu, n, mu, gamma, x, 0, 0.0, _NO_ORACLE, _INCONCLUSIVE, math.nan, math.inf,
-            direction, f"{type(oracle).__name__}: {oracle}"))
+        reports.append((0, 0.0, _NO_ORACLE, _INCONCLUSIVE, math.nan, math.inf, direction,
+                        f"{type(oracle).__name__}: {oracle}"))
     return reports
 
 
@@ -201,8 +236,9 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     value = (row_step(id, point)(point.x) if exploratory else
              bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x)[:4])
     oracle = bessel_integral(CATALOG[id].integrand(point), tol)
-    return _row_reports(id, point, CATALOG[id].direction_at(point), lambda x: value,
-                        [(point.x, oracle)])[0]
+    (fields,) = _row_reports(CATALOG[id].direction_at(point), lambda x: value,
+                             [(point.x, oracle)])
+    return CheckReport(id, point.nu, point.n, point.mu, point.gamma, point.x, *fields)
 
 
 # ----------------------------------------------------------------------
@@ -262,42 +298,45 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     the oracle cannot sum (for example one that needs more series terms than
     the oracle allows): the checks that need it are INCONCLUSIVE with its
     error, and every other check, on the same ``(mu, ord, gamma)`` row too,
-    goes on as usual.  Each distinct oracle row runs once, before any report is
-    built, grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
-    Output order is canonical whatever the order of ``ids`` or of the axes:
-    bounds by id value, then the product of the sorted axes.  As in
-    :func:`check_point`, ``tol`` goes to the oracle and moves no verdict.
+    goes on as usual.  Each distinct oracle row runs once, before any check,
+    grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
+    Output order is canonical whatever the order of ``ids`` or of the axes, and a
+    repeated id or axis value counts once: bounds by id value, then the product
+    of the sorted axes.  As in :func:`check_point`, ``tol`` goes to the oracle
+    and moves no verdict.
     """
     check_tol(tol)
-    xs = sorted(grid.x_values)
-    limits = list(dict.fromkeys(x for x in xs if x > 0))  # every oracle row's, each x once
-    skipped: list[SkippedPoint] = []
-    new = tuple.__new__
+    xs = sorted(set(grid.x_values))
+    limits = [x for x in xs if x > 0]  # every oracle row's
+    skipped = []  # (bound, nu, n, mu, gamma, its skipped xs, their reasons)
     plan = []  # (bound, row, its valid xs, its integral, its direction), in output order
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
-        axes = (sorted(grid.nu_values), sorted(grid.n_values) if entry.uses_n else [0.0],
-                sorted(grid.mu_values) if entry.uses_mu else [None],
-                sorted(grid.gamma_values))
-        for row in itertools.starmap(Point, itertools.product(*axes)):
+        axes = (grid.nu_values, grid.n_values if entry.uses_n else [0.0],
+                grid.mu_values if entry.uses_mu else [None], grid.gamma_values)
+        for row in itertools.starmap(Point, itertools.product(*map(sorted, map(set, axes)))):
             reasons = list(entry.reasons(row, xs))
             valid = [x for x, reason in zip(xs, reasons) if reason is None]
-            # a row's skipped records in one comprehension, each one tuple
-            skipped += [new(SkippedPoint, (bid, row.nu, row.n, row.mu, row.gamma, x, reason))
-                        for x, reason in zip(xs, reasons) if reason is not None]
+            if skips := [(x, reason) for x, reason in zip(xs, reasons) if reason is not None]:
+                skipped.append((bid, row.nu, row.n, row.mu, row.gamma, *zip(*skips)))
             if valid:
                 plan.append((bid, row, valid, entry.integrand(row), entry.direction_at(row)))
     keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)
     integrals = {key: _oracle_row(*key, limits, tol)
                  for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
-    reports: list[CheckReport] = []
+    checked = []
     for bid, row, valid, spec, direction in plan:
         results = integrals[spec.mu, spec.ord, spec.gamma]
-        reports += _row_reports(bid, row, direction, row_step(bid, row),
-                                zip(valid, map(results.__getitem__, valid)))
-    verdicts = [r.verdict for r in reports]
-    counts = {v.value: verdicts.count(v) for v in Verdict}
-    return SweepResult(reports=reports, skipped=skipped, counts=counts)
+        signs, logs, oracles, verdicts, margins, uncs, directions, reasons = zip(*_row_reports(
+            direction, row_step(bid, row), zip(valid, map(results.__getitem__, valid))))
+        # a failed check's margin stays the one math.nan, so that its records compare equal
+        margins = margins if math.nan in margins else array("d", margins)
+        checked.append((bid, row.nu, row.n, row.mu, row.gamma, valid, signs, array("d", logs),
+                        oracles, verdicts, margins, array("d", uncs), directions, reasons))
+    counts = {v.value: sum(row[9].count(v) for row in checked)  # row[9]: its verdicts
+              for v in Verdict}
+    return SweepResult(reports=_Records(checked, CheckReport),
+                       skipped=_Records(skipped, SkippedPoint), counts=counts)
 
 
 # ----------------------------------------------------------------------

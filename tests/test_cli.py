@@ -296,6 +296,18 @@ class TestSweepVerb:
         assert header == CHECK_COLUMNS
         assert header.index("verdict") == 15 == len(header) - 1
 
+    @pytest.mark.parametrize("axis", [["--x", "1,1"], ["--nu", "0,0", "--x", "1"]])
+    def test_repeated_axis_value_is_checked_once(self, axis):
+        argv = ["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0", *axis]
+        code, text, _ = invoke(argv + ["--format", "csv"])
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(text)))) == 1
+        code, text, _ = invoke(argv)
+        assert code == 0
+        doc = json.loads(text)
+        assert len(doc["results"]) == 1
+        assert doc["summary"] == {"holds": 1, "violated": 0, "inconclusive": 0}
+
     def test_x_logspace(self):
         code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0",
                                 "--gamma", "0", "--x-logspace", "0.1,10,5"])
