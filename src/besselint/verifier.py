@@ -14,6 +14,8 @@ once, grouped by mu + ord + 1: checks that share an integral share its oracle
 result, and an integral whose series fails turns only its checks INCONCLUSIVE.
 Each row's verdicts come from one loop, and a single check is a one-x row.  A
 :class:`SweepResult` keeps each row's checks as columns and builds a record when read.
+A row holds only values that the garbage collector untracks (codes for enums, bytes
+for numeric columns), so a full collection in a process that keeps results skips them.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import bisect
 import collections.abc
 import itertools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import (
     CATALOG,
@@ -66,6 +69,7 @@ KERNEL_UNCERTAINTY = 2e-12
 
 #: what a failed check was judged against: no value, and an error that is unknown, not 0
 _NO_ORACLE = QuadResult(0, 0.0, math.nan, 0, False)
+_QUAD = struct.Struct("=bddq?")  # a QuadResult packed, as a sweep keeps its oracle results
 
 
 class Verdict(Enum):
@@ -74,7 +78,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-_HOLDS, _VIOLATED, _INCONCLUSIVE = Verdict
+_HOLDS, _VIOLATED, _INCONCLUSIVE = _VERDICTS = tuple(Verdict)  # a sweep keeps the index
 
 
 def _point_dict(p) -> dict:
@@ -144,32 +148,57 @@ class SkippedPoint(NamedTuple):
         return {"bound": self.bound.value, "point": _point_dict(self), "reason": self.reason}
 
 
-class _Records(collections.abc.Sequence):
-    """The read-only records of per-row entries ``(bound, nu, n, mu, gamma, xs,
-    *columns)``, in row order, with one column per record field after ``x``: a
-    row's records are built each time they are read, and a slice is a list."""
+def _pack(column: tuple) -> bytes | tuple:
+    """A float column as bytes, kept if it holds ``math.nan``, so that records compare equal."""
+    return column if math.nan in column else array("d", column).tobytes()
 
-    def __init__(self, rows: list[tuple], record: type) -> None:
-        self._rows, self._record = rows, record
+
+def _floats(column: bytes | tuple) -> Iterable[float]:
+    return memoryview(column).cast("d") if type(column) is bytes else column
+
+
+def _check_columns(row: tuple, memo: dict) -> list:
+    """The columns of a checked row ``(bound value, nu, n, mu, gamma, xs, oracle results,
+    bound signs, bound logs, verdict codes, margins, uncertainties, direction value,
+    reasons or None if none failed)``, one per :class:`CheckReport` field after gamma."""
+    *_, xs, oracle, signs, logs, codes, margins, uncs, direction, reasons = row
+    if (oracles := memo.get(oracle)) is None:  # once per integral and read, for its rows
+        oracles = memo[oracle] = list(map(tuple.__new__, itertools.repeat(QuadResult),
+                                          _QUAD.iter_unpack(oracle)))
+    if reasons:  # a failed check was judged against no oracle result
+        oracles = [_NO_ORACLE if reason else o for o, reason in zip(oracles, reasons)]
+    return [xs, memoryview(signs).cast("b"), _floats(logs), oracles,
+            map(_VERDICTS.__getitem__, codes), _floats(margins), _floats(uncs),
+            itertools.repeat(Direction(direction)), reasons or itertools.repeat(None)]
+
+
+class _Records(collections.abc.Sequence):
+    """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma,
+    xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
+    of ``columns(row, memo)``, built each time it is read.  A slice is a list."""
+
+    def __init__(self, rows: list[tuple], record: type, columns: Callable) -> None:
+        self._rows, self._record, self._columns = rows, record, columns
         self._starts = list(itertools.accumulate((len(row[5]) for row in rows), initial=0))
 
-    def _build(self, row: tuple) -> list:
-        # a record's fields as one tuple: no Python-level constructor per record
-        head, record, new = row[:5], self._record, tuple.__new__
-        return [new(record, head + fields) for fields in zip(*row[5:])]
+    def _build(self, row: tuple, memo: dict) -> Iterator:
+        # no Python-level constructor per record: zip reuses its tuple once it is copied
+        head = (BoundId(row[0]), *row[1:5])
+        fields = zip(*map(itertools.repeat, head), *self._columns(row, memo))
+        return map(tuple.__new__, itertools.repeat(self._record), fields)
 
     def __len__(self) -> int:
         return self._starts[-1]
 
     def __iter__(self):
-        return itertools.chain.from_iterable(map(self._build, self._rows))
+        return itertools.chain.from_iterable(map(self._build, self._rows, itertools.repeat({})))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
         i = range(len(self))[index]  # counts from the end if negative; IndexError past it
         k = bisect.bisect_right(self._starts, i) - 1
-        return self._build(self._rows[k])[i - self._starts[k]]
+        return list(self._build(self._rows[k], {}))[i - self._starts[k]]
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, _Records)) else NotImplemented
@@ -180,8 +209,9 @@ class _Records(collections.abc.Sequence):
 
 @dataclass
 class SweepResult:
-    """A sweep's reports and skipped points, each a read-only sequence whose
-    records are built when read, in canonical order, and its verdict counts."""
+    """A sweep's reports and skipped points, each a read-only sequence whose records are
+    built when read, in canonical order, and its verdict counts.  Its rows hold only values
+    that the garbage collector untracks, so a full collection walks nothing of a held result."""
 
     reports: Sequence[CheckReport]
     skipped: Sequence[SkippedPoint]
@@ -273,10 +303,10 @@ def default_grid() -> Grid:
     )
 
 
-def _oracle_row(mu: float, ordv: float, gamma: float, xs: list[float], tol: float) -> dict:
-    """Each x's integral, or the error that stands in for it: one oracle call
-    per row, where the benchmark tracer counts rows, and on failure one per
-    x, so that an error stands in only for its own integral."""
+def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: float) -> tuple:
+    """Each x's integral, or the error that stands in for it, and all of them packed
+    (:data:`_NO_ORACLE` for an error): one oracle call per row, where the benchmark tracer
+    counts rows, and on failure one per x, so that an error stands in only for its own."""
     try:
         results: list = cumulative_bessel_integral(mu, ordv, gamma, xs, tol)
     except BesselIntError:
@@ -286,7 +316,8 @@ def _oracle_row(mu: float, ordv: float, gamma: float, xs: list[float], tol: floa
                 results.append(bessel_integral(IntegralSpec(mu, ordv, gamma, x), tol))
             except BesselIntError as exc:
                 results.append(exc)
-    return dict(zip(xs, results))
+    return results, b"".join(itertools.starmap(_QUAD.pack, (
+        _NO_ORACLE if isinstance(r, BesselIntError) else r for r in results)))
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
@@ -301,42 +332,41 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     goes on as usual.  Each distinct oracle row runs once, before any check,
     grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
     Output order is canonical whatever the order of ``ids`` or of the axes, and a
-    repeated id or axis value counts once: bounds by id value, then the product
-    of the sorted axes.  As in :func:`check_point`, ``tol`` goes to the oracle
-    and moves no verdict.
+    repeated id or axis value counts once, -0.0 as 0.0: bounds by id value, then
+    the product of the sorted axes.  As in :func:`check_point`, ``tol`` goes to
+    the oracle and moves no verdict.
     """
     check_tol(tol)
-    xs = sorted(set(grid.x_values))
-    limits = [x for x in xs if x > 0]  # every oracle row's
-    skipped = []  # (bound, nu, n, mu, gamma, its skipped xs, their reasons)
-    plan = []  # (bound, row, its valid xs, its integral, its direction), in output order
+    nus, ns, mus, gammas, xs = (sorted({v + 0.0 for v in axis}) for axis in (  # -0.0 + 0.0 is 0.0
+        grid.nu_values, grid.n_values, grid.mu_values, grid.gamma_values, grid.x_values))
+    # hypotheses hold per row and x > 0 per x: so these are every checked and oracle row's xs
+    limits = tuple(x for x in xs if x > 0)
+    skipped = []  # (bound value, nu, n, mu, gamma, its skipped xs, their reasons)
+    plan = []  # (bound, row, its integral, its direction), in output order
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
-        axes = (grid.nu_values, grid.n_values if entry.uses_n else [0.0],
-                grid.mu_values if entry.uses_mu else [None], grid.gamma_values)
-        for row in itertools.starmap(Point, itertools.product(*map(sorted, map(set, axes)))):
-            reasons = list(entry.reasons(row, xs))
-            valid = [x for x, reason in zip(xs, reasons) if reason is None]
-            if skips := [(x, reason) for x, reason in zip(xs, reasons) if reason is not None]:
-                skipped.append((bid, row.nu, row.n, row.mu, row.gamma, *zip(*skips)))
-            if valid:
-                plan.append((bid, row, valid, entry.integrand(row), entry.direction_at(row)))
+        axes = (nus, ns if entry.uses_n else [0.0], mus if entry.uses_mu else [None], gammas)
+        for row in itertools.starmap(Point, itertools.product(*axes)):
+            if skips := [(x, r) for x, r in zip(xs, entry.reasons(row, xs)) if r is not None]:
+                skipped.append((bid.value, row.nu, row.n, row.mu, row.gamma, *zip(*skips)))
+            if len(skips) < len(xs):
+                plan.append((bid, row, entry.integrand(row), entry.direction_at(row)))
     keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)
     integrals = {key: _oracle_row(*key, limits, tol)
                  for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
     checked = []
-    for bid, row, valid, spec, direction in plan:
-        results = integrals[spec.mu, spec.ord, spec.gamma]
-        signs, logs, oracles, verdicts, margins, uncs, directions, reasons = zip(*_row_reports(
-            direction, row_step(bid, row), zip(valid, map(results.__getitem__, valid))))
-        # a failed check's margin stays the one math.nan, so that its records compare equal
-        margins = margins if math.nan in margins else array("d", margins)
-        checked.append((bid, row.nu, row.n, row.mu, row.gamma, valid, signs, array("d", logs),
-                        oracles, verdicts, margins, array("d", uncs), directions, reasons))
-    counts = {v.value: sum(row[9].count(v) for row in checked)  # row[9]: its verdicts
-              for v in Verdict}
-    return SweepResult(reports=_Records(checked, CheckReport),
-                       skipped=_Records(skipped, SkippedPoint), counts=counts)
+    for bid, row, spec, direction in plan:
+        results, oracle = integrals[spec.mu, spec.ord, spec.gamma]
+        signs, logs, _, verdicts, margins, uncs, _, reasons = zip(*_row_reports(
+            direction, row_step(bid, row), zip(limits, results)))
+        checked.append((bid.value, row.nu, row.n, row.mu, row.gamma, limits, oracle,
+                        array("b", signs).tobytes(), _pack(logs),
+                        bytes(map(_VERDICTS.index, verdicts)), _pack(margins), _pack(uncs),
+                        direction.value, reasons if any(reasons) else None))
+    counts = {v.value: sum(row[9].count(code) for row in checked)  # row[9]: its verdict codes
+              for code, v in enumerate(_VERDICTS)}
+    return SweepResult(reports=_Records(checked, CheckReport, _check_columns), counts=counts,
+                       skipped=_Records(skipped, SkippedPoint, lambda row, memo: row[5:]))
 
 
 # ----------------------------------------------------------------------

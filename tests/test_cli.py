@@ -308,6 +308,19 @@ class TestSweepVerb:
         assert len(doc["results"]) == 1
         assert doc["summary"] == {"holds": 1, "violated": 0, "inconclusive": 0}
 
+    def test_signed_zero_axis_value_is_zero_in_any_order(self):
+        # a set keeps the first of -0.0 and 0.0, so the order given once chose the sign
+        base = ["sweep", "--bounds", "main", "--gamma", "0", "--x", "1", "--format", "csv"]
+        texts = [invoke(base + [nu])[1] for nu in ("--nu=-0,0", "--nu=0,-0", "--nu=-0")]
+        assert texts[0] == texts[1] == texts[2]
+        (row,) = csv.DictReader(io.StringIO(texts[0]))
+        assert (row["nu"], row["gamma"]) == ("0.0", "0.0")
+        code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0", "--gamma=-0,0",
+                                "--x", "1", "--format", "csv"])
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(text))
+        assert (row["nu"], row["gamma"]) == ("0.0", "0.0")
+
     def test_x_logspace(self):
         code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0",
                                 "--gamma", "0", "--x-logspace", "0.1,10,5"])
