@@ -29,22 +29,19 @@ from .errors import (
     NonConvergence,
     NotFound,
 )
-from .kernel import asym_large, asym_small, besseli, besseli_ratio, besselk
+from .kernel import besseli, besseli_ratio, besselk
 from .oracle import (
-    IdentityId,
     IntegralSpec,
     QuadResult,
-    antiderivative_gamma1,
     bessel_integral,
     cumulative_bessel_integral,
-    identity_residual,
-    integral_asymptote,
 )
 from .scaled import ScaledValue
 from .verifier import (
     CheckReport,
     Grid,
     RelErrTable,
+    SkippedPoint,
     SweepResult,
     Verdict,
     check_point,
@@ -59,12 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ScaledValue",
-    "besseli", "besselk", "besseli_ratio", "asym_small", "asym_large",
+    "besseli", "besselk", "besseli_ratio",
     "IntegralSpec", "QuadResult", "bessel_integral", "cumulative_bessel_integral",
-    "antiderivative_gamma1", "integral_asymptote", "IdentityId", "identity_residual",
     "BoundId", "Direction", "Point", "BoundEval", "bound_value",
     "c_nu", "x_star", "m_value", "m_bound_constant",
-    "Verdict", "CheckReport", "SweepResult", "Grid", "RelErrTable",
+    "Verdict", "CheckReport", "SkippedPoint", "SweepResult", "Grid", "RelErrTable",
     "check_point", "sweep", "default_grid", "relative_error_table",
     "tightness_scan", "find_crossover",
     "BesselIntError", "InvalidDomain", "InvalidOrder", "NonConvergence", "NotFound",

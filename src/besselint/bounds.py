@@ -249,13 +249,10 @@ class _Entry:
     integrand: Callable[[Point], IntegralSpec]
     direction_at: Callable[[Point], Direction]
 
-    def invalid_reason(self, p: Point) -> Optional[str]:
-        """The first violated hypothesis at ``p``, or None inside the domain."""
-        return next(self.reasons(p, (p.x,)))
-
     def reasons(self, row: Point, xs: Iterable[float]) -> Iterator[Optional[str]]:
-        """:meth:`invalid_reason` at each x of ``xs`` in ``row``: gamma and the
-        bound's own hypotheses are checked once, ``x > 0`` per x."""
+        """The first violated hypothesis, or None inside the domain, at each x of
+        ``xs`` in ``row``: gamma and the bound's own hypotheses are checked once,
+        ``x > 0`` per x."""
         ok = 0.0 <= row.gamma < 1.0
         reason = self.hypothesis(row) if ok else f"0 <= gamma < 1 (got gamma={row.gamma})"
         return (reason if x > 0 else f"x > 0 (got x={x})" for x in xs)

@@ -78,7 +78,7 @@ def _float_list(text: str) -> list[float]:
 
 def _bound_id(text: str) -> BoundId:
     try:
-        return BoundId(text.lower())
+        return BoundId(text.strip().lower())
     except ValueError:
         names = ", ".join(b.value for b in BoundId)
         raise argparse.ArgumentTypeError(f"unknown bound {text!r}; choose from: {names}")
@@ -87,7 +87,7 @@ def _bound_id(text: str) -> BoundId:
 def _bound_list(text: str) -> list[BoundId]:
     if text.strip().lower() == "all":
         return list(BoundId)
-    ids = [_bound_id(tok) for tok in text.split(",") if tok]
+    ids = [_bound_id(tok) for tok in text.split(",") if tok.strip()]
     if not ids:
         raise argparse.ArgumentTypeError(f"no bound id in {text!r}")
     return ids
@@ -354,13 +354,15 @@ def _sweep(args):
 
 
 def _table(args):
-    table = relative_error_table(args.bound, args.nu, args.x)
+    # each value once, in the order given; -0.0 + 0.0 is 0.0
+    nus, xs = (list(dict.fromkeys(v + 0.0 for v in axis)) for axis in (args.nu, args.x))
+    table = relative_error_table(args.bound, nus, xs)
     return (
-        {"bound": args.bound.value, "nu": list(args.nu), "x": list(args.x)},
+        {"bound": args.bound.value, "nu": nus, "x": xs},
         ({"nu": f"{nu:.17g}", **{f"{x:.17g}": f"{v:.4f}" for x, v in zip(table.x_values, row)}}
          for nu, row in zip(table.nu_values, table.entries)),
         lambda: {"results": [list(row) for row in table.entries],
-                 "summary": {"nu_values": list(args.nu), "x_values": list(args.x)}},
+                 "summary": {"nu_values": nus, "x_values": xs}},
         EXIT_OK,
     )
 

@@ -44,8 +44,6 @@ __all__ = [
     "besseli_ratio",
     "besseli_ratios",
     "power_series_sum",
-    "asym_small",
-    "asym_large",
     "gamma_sign",
     "log_gamma",
     "is_nonpositive_int",
@@ -395,24 +393,3 @@ def besseli_ratios(lo: float, count: int, x: float) -> list[float]:
         block.append(r)
     block.reverse()
     return block
-
-
-def asym_small(order: float, x: float) -> float:
-    """Two-term small-argument approximant ``(x/2)^nu/Gamma(nu+1) * (1 + x^2/(4(nu+1)))``."""
-    if order < 0 and order == math.floor(order):
-        raise InvalidOrder(f"negative integer order {order} is not supported")
-    if x == 0.0:
-        if order < 0:
-            raise InvalidDomain(f"I_nu(0) diverges for negative order {order}")
-        return 1.0 if order == 0 else 0.0
-    lead = math.exp(order * (math.log(x) - _LOG2) - log_gamma(order + 1.0)) * gamma_sign(order + 1.0)
-    return lead * (1.0 + x * x / (4.0 * (order + 1.0)))
-
-
-def asym_large(order: float, x: float) -> ScaledValue:
-    """Two-term large-argument approximant ``e^x/sqrt(2 pi x) * (1 - (4 nu^2 - 1)/(8x))``."""
-    if x <= 0:
-        raise InvalidDomain(f"asym_large requires x > 0, got {x}")
-    factor = 1.0 - (4.0 * order * order - 1.0) / (8.0 * x)
-    lead = ScaledValue.from_log(x - 0.5 * math.log(2.0 * math.pi * x))
-    return lead * ScaledValue.from_float(factor)

@@ -83,17 +83,6 @@ class ScaledValue:
         """:func:`log_dict` of the value."""
         return log_dict(self.sign, self.log_abs)
 
-    def rel_gap(self, other: "ScaledValue") -> float:
-        """|self - other| / max(|self|, |other|); 0.0 when both are zero."""
-        if self.sign == 0 and other.sign == 0:
-            return 0.0
-        diff = self - other
-        if diff.sign == 0:
-            return 0.0
-        scale = max(self.log_abs if self.sign else -math.inf,
-                    other.log_abs if other.sign else -math.inf)
-        return math.exp(diff.log_abs - scale)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "ScaledValue":

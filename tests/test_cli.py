@@ -321,6 +321,13 @@ class TestSweepVerb:
         (row,) = csv.DictReader(io.StringIO(text))
         assert (row["nu"], row["gamma"]) == ("0.0", "0.0")
 
+    def test_space_after_a_comma_in_bounds(self):
+        argv = ["sweep", "--nu", "0, 1", "--gamma", "0", "--x", "1", "--bounds"]
+        expected = invoke(argv + ["main,lower1"])
+        assert expected[0] == 0
+        assert invoke(argv + ["main, lower1"]) == expected
+        assert invoke(argv + [" main ,lower1, "]) == expected
+
     def test_x_logspace(self):
         code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0",
                                 "--gamma", "0", "--x-logspace", "0.1,10,5"])
@@ -348,6 +355,21 @@ class TestTableVerb:
         assert code == 0
         d = json.loads(text)
         assert d["results"][0][0] == pytest.approx(0.0464, abs=1e-12)
+
+
+    def test_repeated_value_is_taken_once(self):
+        # a repeated x once made two JSON columns but one CSV column, whose keys collided;
+        # -0 is 0, as on a sweep axis
+        argv = ["table", "--bound", "twosided_l", "--nu=0,1,-0", "--x", "1,10,1"]
+        code, text, _ = invoke(argv)
+        assert code == 0
+        assert text.splitlines() == ["nu,1,10", "0,0.0002,0.1305", "1,0.0000,0.0154"]
+        code, text, _ = invoke(argv + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["parameters"]["nu"] == doc["summary"]["nu_values"] == [0.0, 1.0]
+        assert doc["parameters"]["x"] == doc["summary"]["x_values"] == [1.0, 10.0]
+        assert [len(row) for row in doc["results"]] == [2, 2]
 
 
 class TestTightnessVerb:

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from besselint.errors import InvalidDomain, InvalidOrder, NonConvergence
 from besselint.kernel import (
-    _RATIO_TERMS, ACCURACY_LARGE_X, ACCURACY_SMALL_X, _besselk_debye_log, asym_large,
-    asym_small, besseli, besseli_ratio, besseli_ratios, besselk, power_series_sum,
+    _RATIO_TERMS, ACCURACY_LARGE_X, ACCURACY_SMALL_X, _besselk_debye_log, besseli,
+    besseli_ratio, besseli_ratios, besselk, power_series_sum,
 )
 
 from conftest import log_relerr, sv_relerr
@@ -295,37 +295,6 @@ class TestRatio:
     def test_negative_count_is_named(self, lo, count):
         with pytest.raises(InvalidDomain, match=f"requires count >= 0, got {count}$"):
             besseli_ratios(lo, count, 1.0)
-
-
-class TestAsymptotics:
-    def test_small_argument_form(self):
-        assert asym_small(0.0, 0.1) == pytest.approx(1.0025, rel=1e-15)
-        # true series value 1.0025015629340956: two-term form is close
-        assert abs(asym_small(0.0, 0.1) - 1.0025015629340956) < 2e-6
-        assert asym_small(1.0, 0.2) == pytest.approx(0.1005, rel=1e-14)
-        assert asym_small(0.0, 0.0) == 1.0
-        with pytest.raises(InvalidDomain):  # I_nu(0) diverges, as in besseli
-            asym_small(-0.5, 0.0)
-        # the least subnormal x, where x/2 rounds to 0: I_{1/2}(x) ~ sqrt(2x/pi)
-        assert asym_small(0.5, 5e-324) == pytest.approx(
-            math.exp(0.5 * math.log(2.0 / math.pi) + 0.5 * math.log(5e-324)), rel=1e-14)
-
-    def test_large_argument_form(self):
-        approx = asym_large(0.0, 50.0)
-        exact = besseli(0.0, 50.0)
-        assert approx.rel_gap(exact) < 3e-5
-
-    def test_large_argument_two_term_factor(self):
-        # the correction factor at nu=1, x=50 is 1 - 3/400
-        lead = math.exp(50.0 - 0.5 * math.log(2.0 * math.pi * 50.0))
-        assert asym_large(1.0, 50.0).to_float() == pytest.approx(
-            lead * (1.0 - 3.0 / 400.0), rel=1e-12)
-
-    def test_ratio_approaches_one_monotonically(self):
-        ratios = [(asym_large(0.0, x) / besseli(0.0, x)).to_float()
-                  for x in (50.0, 100.0, 200.0, 400.0)]
-        assert all(a < b for a, b in zip(ratios, ratios[1:]))
-        assert abs(ratios[-1] - 1.0) < 1e-6
 
 
 def _signed_series_sum(order, x2_4, factors):

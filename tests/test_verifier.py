@@ -26,6 +26,8 @@ from besselint.verifier import (
     tightness_scan,
 )
 
+from reference import invalid_reason
+
 
 class TestCheckPoint:
     def test_main_holds(self):
@@ -87,7 +89,7 @@ class TestCheckPoint:
              gamma=0.35337912090240575, x=1295.8867393452933)
     def test_no_check_inside_the_hypotheses_is_violated(self, bid, nu, n, dmu, gamma, x):
         point = Point(nu, n, nu + dmu, gamma, x)
-        assume(CATALOG[bid].invalid_reason(point) is None)
+        assume(invalid_reason(CATALOG[bid], point) is None)
         try:
             verdict = check_point(bid, point).verdict
         except InvalidDomain:
@@ -130,7 +132,7 @@ class TestCheckPoint:
         for x in (0.5, 20.0):
             point = Point(1.0, 0.5 if entry.uses_n else 0.0, 1.5 if entry.uses_mu else None,
                           gamma, x)
-            assert entry.invalid_reason(point) is None
+            assert invalid_reason(entry, point) is None
             assert (check_point(bid, point, exploratory=True).to_dict()
                     == check_point(bid, point).to_dict())
             ev = bound_value(bid, point.nu, point.n, point.mu, point.gamma, x)
