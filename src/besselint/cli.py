@@ -11,10 +11,12 @@ non-finite one as null, CSV as ``nan`` or ``inf``.
 
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
-the JSON members on call, and each CSV row is one of ``records`` flattened,
-under a header taken from the first; ``sweep`` hands its records over as
-iterators, so each is made as it is written.  :func:`run` is the only place
-that writes output.
+the JSON members on call, and ``records`` are the CSV rows.  A check's record,
+from ``check`` or ``sweep``, is one flat tuple in ``CHECK_COLUMNS`` order: its
+CSV row writes it as it is, and its JSON result is ``check_dict``'s nesting of
+it.  Every other verb's record is a dict, flattened into a CSV row under a header
+taken from the first.  ``sweep`` hands its records over as iterators, so each is
+made as it is written.  :func:`run` is the only place that writes output.
 
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
 VIOLATED, 2 usage error, 3 numerical failure; a reader that closes stdout
@@ -37,10 +39,11 @@ from .bounds import BoundId, Point, bound_value
 from .errors import BesselIntError, InvalidDomain
 from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral, check_tol
 from .verifier import (
-    CheckReport,
+    CHECK_COLUMNS,
     Grid,
     SkippedPoint,
     Verdict,
+    check_dict,
     check_point,
     default_grid,
     find_crossover,
@@ -70,7 +73,7 @@ def _finite(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    values = [_finite(part) for part in text.split(",") if part != ""]
+    values = [_finite(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError(f"no number in {text!r}")
     return values
@@ -191,14 +194,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: CSV column prefix of each nested record member; ``point`` fields keep
-#: their own names, and any other member is its own prefix
-_PREFIX = {"point": "", "bound_value": "bound_", "oracle_value": "oracle_"}
-
-
 def _columns(record: dict) -> list[str]:
-    """CSV header for rows like ``record``: a nested dict spreads over prefixed columns."""
-    return [_PREFIX.get(key, key + "_") + field if type(value) is dict else key
+    """CSV header for rows like ``record``: a nested dict spreads over columns named
+    ``member_field``."""
+    return [f"{key}_{field}" if type(value) is dict else key
             for key, value in record.items()
             for field in (value if type(value) is dict else (key,))]
 
@@ -232,7 +231,8 @@ def _encode(value) -> str:
 
 def _write_json(out, members: dict) -> None:
     """``members`` one per line, a non-empty list or iterator one entry per line, each
-    line one :func:`_encode` (CPython's C encoder, which ``indent`` turns off), none joined."""
+    line one :func:`_encode` (CPython's C encoder, which ``indent`` turns off), none joined.
+    A check's entry comes nested already, one ``check_dict`` of its flat record."""
     for i, (key, value) in enumerate(members.items()):
         out.write(f"{',' if i else '{'}\n{_encode(key)}: ")
         if isinstance(value, (list, Iterator)):
@@ -260,7 +260,12 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def run(argv: Optional[list[str]] = None, out=None) -> int:
-    """Parse argv, execute, write to ``out`` (default stdout), return exit code."""
+    """Parse argv, execute, write to ``out`` (default stdout), return exit code.
+
+    JSON goes through :func:`_write_json`.  A CSV is a header and one row per record:
+    check records, flat tuples, are written as they arrive under ``CHECK_COLUMNS``, and
+    dict records are flattened by :func:`_csv_row` under :func:`_columns` of the first.
+    """
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(_merge_negative_values(
@@ -280,10 +285,12 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         else:
             records = iter(records)
             first = next(records, None)
-            if first is not None:
+            if first is not None:  # a tuple is a check's flat record, written as it is
+                flat = type(first) is tuple
+                rows = itertools.chain([first], records)
                 writer = csv.writer(out)
-                writer.writerow(_columns(first))
-                writer.writerows(map(_csv_row, itertools.chain([first], records)))
+                writer.writerow(CHECK_COLUMNS if flat else _columns(first))
+                writer.writerows(rows if flat else map(_csv_row, rows))
         if out is sys.stdout:  # a reader that closed early shows here, not at exit
             out.flush()
     except BrokenPipeError:  # the reader is done: the rest, and the flush at exit, go nowhere
@@ -320,12 +327,11 @@ def _bound(args):
 def _check(args):
     point = Point(nu=args.nu, n=args.n, mu=args.mu, gamma=args.gamma, x=args.x)
     report = check_point(args.bound, point, exploratory=args.exploratory)
-    records = [report.to_dict()]
     return (
         {"bound": args.bound.value, "nu": point.nu, "n": point.n, "mu": point.mu,
          "gamma": point.gamma, "x": point.x, "exploratory": args.exploratory},
-        records,
-        lambda: {"results": records, "summary": {"verdict": report.verdict.value}},
+        [report.flat()],
+        lambda: {"results": [report.to_dict()], "summary": {"verdict": report.verdict.value}},
         EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK,
     )
 
@@ -345,8 +351,8 @@ def _sweep(args):
          "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
          "x": list(grid.x_values), "n": list(grid.n_values),
          "mu": list(grid.mu_values)},
-        map(CheckReport.to_dict, result.reports),
-        lambda: {"results": map(CheckReport.to_dict, result.reports),
+        result.flat(),
+        lambda: {"results": map(check_dict, result.flat()),
                  "skipped": map(SkippedPoint.to_dict, result.skipped),
                  "summary": dict(result.counts)},
         EXIT_VIOLATED if result.counts["violated"] else EXIT_OK,

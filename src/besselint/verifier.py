@@ -16,6 +16,11 @@ Each row's verdicts come from one loop, and a single check is a one-x row.  A
 :class:`SweepResult` keeps each row's checks as columns and builds a record when read.
 A row holds only values that the garbage collector untracks (codes for enums, bytes
 for numeric columns), so a full collection in a process that keeps results skips them.
+
+A check's record, as the CLI writes it, is one flat tuple in :data:`CHECK_COLUMNS`
+order: a CSV row writes it as it is, and :func:`check_dict` nests it for JSON.
+:meth:`CheckReport.flat` gives it for one report and :meth:`SweepResult.flat` for a
+sweep's, zipped from the packed rows with no :class:`CheckReport` built per check.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .oracle import (
 from .scaled import ScaledValue, exp_float, log_dict
 
 __all__ = [
+    "CHECK_COLUMNS",
     "Verdict",
     "CheckReport",
     "SkippedPoint",
@@ -57,6 +63,7 @@ __all__ = [
     "Grid",
     "RelErrTable",
     "default_grid",
+    "check_dict",
     "check_point",
     "sweep",
     "relative_error_table",
@@ -79,12 +86,30 @@ class Verdict(Enum):
 
 
 _HOLDS, _VIOLATED, _INCONCLUSIVE = _VERDICTS = tuple(Verdict)  # a sweep keeps the index
+_VERDICT_VALUES = tuple(v.value for v in _VERDICTS)
 
 
-def _point_dict(p) -> dict:
-    """The coordinates of a :class:`Point`, a :class:`CheckReport` or a
-    :class:`SkippedPoint`, which all carry them as fields."""
-    return {"nu": p.nu, "n": p.n, "mu": p.mu, "gamma": p.gamma, "x": p.x}
+def _point_dict(nu: float, n: float, mu: Optional[float], gamma: float, x: float) -> dict:
+    return {"nu": nu, "n": n, "mu": mu, "gamma": gamma, "x": x}
+
+
+def check_dict(record: tuple) -> dict:
+    """The JSON nesting of a check's flat record (:data:`CHECK_COLUMNS` order): its
+    point and each ``(sign, log_abs)`` become members, everything else stays as it is."""
+    (bound, nu, n, mu, gamma, x, sign, log, o_sign, o_log, o_err, margin, unc,
+     direction, reason, verdict) = record
+    return {
+        "bound": bound,
+        "point": _point_dict(nu, n, mu, gamma, x),
+        "bound_value": log_dict(sign, log),
+        "oracle_value": log_dict(o_sign, o_log),
+        "oracle_rel_err": o_err,
+        "rel_margin": margin,
+        "uncertainty": unc,
+        "direction": direction,
+        "reason": reason,
+        "verdict": verdict,  # last: a CSV reader may take it by position
+    }
 
 
 def _point(r) -> Point:
@@ -117,20 +142,16 @@ class CheckReport(NamedTuple):
     def bound_value(self) -> ScaledValue:
         return ScaledValue(self.bound_sign, self.bound_log)
 
-    def to_dict(self) -> dict:
+    def flat(self) -> tuple:
+        """This check's flat record, in :data:`CHECK_COLUMNS` order."""
         o = self.oracle
-        return {
-            "bound": self.bound.value,
-            "point": _point_dict(self),
-            "bound_value": log_dict(self.bound_sign, self.bound_log),
-            "oracle_value": log_dict(o.sign, o.log_abs),
-            "oracle_rel_err": o.rel_err,
-            "rel_margin": self.rel_margin,
-            "uncertainty": self.uncertainty,
-            "direction": self.direction.value,
-            "reason": self.reason,
-            "verdict": self.verdict.value,  # last: a CSV reader may take it by position
-        }
+        return (self.bound.value, self.nu, self.n, self.mu, self.gamma, self.x,
+                self.bound_sign, self.bound_log, o.sign, o.log_abs, o.rel_err,
+                self.rel_margin, self.uncertainty, self.direction.value, self.reason,
+                self.verdict.value)
+
+    def to_dict(self) -> dict:
+        return check_dict(self.flat())
 
 
 class SkippedPoint(NamedTuple):
@@ -145,7 +166,8 @@ class SkippedPoint(NamedTuple):
     point = property(_point)
 
     def to_dict(self) -> dict:
-        return {"bound": self.bound.value, "point": _point_dict(self), "reason": self.reason}
+        return {"bound": self.bound.value, "point": _point_dict(*self[1:6]),
+                "reason": self.reason}
 
 
 def _pack(column: tuple) -> bytes | tuple:
@@ -157,35 +179,60 @@ def _floats(column: bytes | tuple) -> Iterable[float]:
     return memoryview(column).cast("d") if type(column) is bytes else column
 
 
-def _check_columns(row: tuple, memo: dict) -> list:
-    """The columns of a checked row ``(bound value, nu, n, mu, gamma, xs, oracle results,
-    bound signs, bound logs, verdict codes, margins, uncertainties, direction value,
-    reasons or None if none failed)``, one per :class:`CheckReport` field after gamma."""
-    *_, xs, oracle, signs, logs, codes, margins, uncs, direction, reasons = row
-    if (oracles := memo.get(oracle)) is None:  # once per integral and read, for its rows
-        oracles = memo[oracle] = list(map(tuple.__new__, itertools.repeat(QuadResult),
+# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, xs, oracle results,
+# bound signs, bound logs, verdict codes, margins, uncertainties, direction value, reasons
+# or None if none failed).  A report reads it as a CheckReport, the CLI as a flat record.
+
+#: a check's flat record, in order: the CSV header of ``check`` and ``sweep``
+CHECK_COLUMNS = ("bound", "nu", "n", "mu", "gamma", "x", "bound_sign", "bound_log_abs",
+                 "oracle_sign", "oracle_log_abs", "oracle_rel_err", "rel_margin",
+                 "uncertainty", "direction", "reason", "verdict")
+
+
+def _oracle_results(row: tuple, memo: dict) -> list[QuadResult]:
+    """The oracle result each check of a checked row was judged against: its integral's,
+    unpacked once per integral and read, or :data:`_NO_ORACLE` for a failed check."""
+    oracle, reasons = row[6], row[13]
+    if (results := memo.get(oracle)) is None:
+        results = memo[oracle] = list(map(tuple.__new__, itertools.repeat(QuadResult),
                                           _QUAD.iter_unpack(oracle)))
-    if reasons:  # a failed check was judged against no oracle result
-        oracles = [_NO_ORACLE if reason else o for o, reason in zip(oracles, reasons)]
-    return [xs, memoryview(signs).cast("b"), _floats(logs), oracles,
+    return [_NO_ORACLE if r else o for o, r in zip(results, reasons)] if reasons else results
+
+
+def _check_columns(row: tuple, memo: dict) -> list:
+    """The columns of a checked row, one per :class:`CheckReport` field after gamma."""
+    *_, xs, _, signs, logs, codes, margins, uncs, direction, reasons = row
+    return [xs, memoryview(signs).cast("b"), _floats(logs), _oracle_results(row, memo),
             map(_VERDICTS.__getitem__, codes), _floats(margins), _floats(uncs),
             itertools.repeat(Direction(direction)), reasons or itertools.repeat(None)]
+
+
+def _flat_columns(row: tuple, memo: dict) -> list:
+    """The columns of a checked row, one per :data:`CHECK_COLUMNS` entry after gamma:
+    each enum as its value and the oracle result spread over its sign, log and error."""
+    *_, xs, _, signs, logs, codes, margins, uncs, direction, reasons = row
+    o_signs, o_logs, o_errs, _, _ = zip(*_oracle_results(row, memo))
+    return [xs, memoryview(signs).cast("b"), _floats(logs), o_signs, o_logs, o_errs,
+            _floats(margins), _floats(uncs), itertools.repeat(direction),
+            reasons or itertools.repeat(None), map(_VERDICT_VALUES.__getitem__, codes)]
 
 
 class _Records(collections.abc.Sequence):
     """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma,
     xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
-    of ``columns(row, memo)``, built each time it is read.  A slice is a list."""
+    of ``columns(row, memo)``, built each time it is read.  A slice is a list.  With
+    ``record`` None, each is a plain tuple with the bound as its value."""
 
-    def __init__(self, rows: list[tuple], record: type, columns: Callable) -> None:
+    def __init__(self, rows: list[tuple], record: Optional[type], columns: Callable) -> None:
         self._rows, self._record, self._columns = rows, record, columns
         self._starts = list(itertools.accumulate((len(row[5]) for row in rows), initial=0))
 
     def _build(self, row: tuple, memo: dict) -> Iterator:
         # no Python-level constructor per record: zip reuses its tuple once it is copied
-        head = (BoundId(row[0]), *row[1:5])
+        head = row[:5] if self._record is None else (BoundId(row[0]), *row[1:5])
         fields = zip(*map(itertools.repeat, head), *self._columns(row, memo))
-        return map(tuple.__new__, itertools.repeat(self._record), fields)
+        return fields if self._record is None else map(
+            tuple.__new__, itertools.repeat(self._record), fields)
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -216,6 +263,11 @@ class SweepResult:
     reports: Sequence[CheckReport]
     skipped: Sequence[SkippedPoint]
     counts: dict[str, int]
+
+    def flat(self) -> Sequence[tuple]:
+        """Each report's :meth:`CheckReport.flat` record, in order, zipped from the packed
+        rows when read, each integral's oracle results unpacked once per read."""
+        return _Records(self.reports._rows, None, _flat_columns)
 
 
 def _row_reports(direction: Direction, step: Callable[[float], tuple[int, float, int, float]],

@@ -328,6 +328,13 @@ class TestSweepVerb:
         assert invoke(argv + ["main, lower1"]) == expected
         assert invoke(argv + [" main ,lower1, "]) == expected
 
+    def test_blank_list_entry_is_skipped(self):
+        argv = ["sweep", "--bounds", "main", "--gamma", "0", "--x", "1", "--nu"]
+        expected = invoke(argv + ["0,"])
+        assert expected[0] == 0
+        assert invoke(argv + ["0, "]) == expected
+        assert invoke(argv + [" ,0"]) == expected
+
     def test_x_logspace(self):
         code, text, _ = invoke(["sweep", "--bounds", "main", "--nu", "0",
                                 "--gamma", "0", "--x-logspace", "0.1,10,5"])
@@ -508,6 +515,48 @@ class TestJsonCsvAgree:
         [header, [cell]] = rows
         assert header == ["crossover"]
         assert (cell == "") if xstar is None else (float(cell) == xstar)
+
+
+class TestCheckRecords:
+    """A sweep writes each check's record as ``check`` writes it at that point: the
+    sweep's records are zipped from its packed rows, the check's from its report."""
+
+    # every bound; PROP1 skips nu = 0, and the oracle fails at x = 2e5
+    ARGV = ["--nu", "0,1", "--gamma", "0,0.5", "--mu", "0.5,1", "--x", "2,2e5"]
+    GRID = replace(default_grid(), nu_values=(0.0, 1.0), gamma_values=(0.0, 0.5),
+                   mu_values=(0.5, 1.0), x_values=(2.0, 2e5))
+
+    def test_csv_rows_are_the_check_verbs_rows(self):
+        code, text, _ = invoke(["sweep", "--bounds", "all", *self.ARGV, "--format", "csv"])
+        assert code == 0
+        header, *lines = text.splitlines(keepends=True)
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len({row["bound"] for row in rows}) == len(BoundId)
+        failed = [line for line, row in zip(lines, rows) if row["reason"]]
+        assert 0 < len(failed) < len(lines)
+        for line, row in zip(lines, rows):
+            argv = ["check", "--bound", row["bound"], "--format", "csv"] + [
+                arg for key in ("nu", "n", "mu", "gamma", "x") if row[key]
+                for arg in (f"--{key}", row[key])]
+            code, expected, _ = invoke(argv)
+            if row["reason"]:  # a check whose oracle fails exits with no record
+                assert (code, expected, row["oracle_rel_err"]) == (3, "", "nan")
+            else:
+                assert code == 0 and expected == header + line
+        # a failed check's row is its report's, flattened
+        reports = [r for r in sweep(list(BoundId), self.GRID).reports if r.reason]
+        out = io.StringIO()
+        csv.writer(out).writerows(r.flat() for r in reports)
+        assert out.getvalue().splitlines(keepends=True) == failed
+
+    def test_json_results_are_the_reports(self):
+        code, text, _ = invoke(["sweep", "--bounds", "all", *self.ARGV])
+        assert code == 0
+        doc = _strict_loads(text)
+        result = sweep(list(BoundId), self.GRID)
+        assert len(doc["skipped"]) == len(result.skipped) > 0
+        assert doc["results"] == _finite_or_null([r.to_dict() for r in result.reports])
+        assert any(r["reason"] and r["oracle_rel_err"] is None for r in doc["results"])
 
 
 def _finite_or_null(value):

@@ -15,8 +15,10 @@ from besselint.errors import BesselIntError, InvalidDomain, NonConvergence, NotF
 from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
 from besselint.scaled import ScaledValue
 from besselint.verifier import (
+    CHECK_COLUMNS,
     Grid,
     Verdict,
+    check_dict,
     check_point,
     default_grid,
     find_crossover,
@@ -395,11 +397,33 @@ class TestFlatRecords:
             assert expected._asdict() == r._asdict()
             assert expected.oracle._asdict() == r.oracle._asdict()
 
-    @pytest.mark.parametrize("ids, grid", [
+    GRIDS = [
         (IDS, GRID),
         ([BoundId.MAIN], Grid((0.0,), (0.0,), (1.0, 2e5))),  # x = 2e5 fails
         ([BoundId.PROP1], Grid((0.0,), (0.0,), (1.0, 5.0), mu_values=(0.0,))),  # all skipped
-    ])
+    ]
+
+    @pytest.mark.parametrize("ids, grid", GRIDS)
+    def test_flat_records_are_the_reports_flattened(self, ids, grid):
+        res = sweep(ids, grid)
+        flat = res.flat()
+        records = list(flat)
+        assert len(flat) == len(records) == len(res.reports)
+        assert flat == [r.flat() for r in res.reports] == records
+        for record, report in zip(records, res.reports):
+            assert len(record) == len(CHECK_COLUMNS)
+            assert all(type(record[CHECK_COLUMNS.index(enum)]) is str
+                       for enum in ("bound", "direction", "verdict"))
+            # the JSON nesting holds the record's values in column order
+            nested = check_dict(record)
+            assert nested == report.to_dict()
+            assert [v for m in nested.values()
+                    for v in (m.values() if type(m) is dict else (m,))] == list(record)
+            assert list(nested["point"]) == list(CHECK_COLUMNS[1:6])
+        if records:
+            assert (flat[0], flat[-1], flat[1:]) == (records[0], records[-1], records[1:])
+
+    @pytest.mark.parametrize("ids, grid", GRIDS)
     def test_reports_and_skipped_are_sequences(self, ids, grid):
         res = sweep(ids, grid)
         assert len(res.reports) == sum(res.counts.values())
