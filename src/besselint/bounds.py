@@ -93,14 +93,14 @@ _ZERO = ScaledValue.zero()
 _nu = attrgetter("nu")
 
 
-class Direction(Enum):
+class Direction(str, Enum):
     UPPER = "upper"
     LOWER = "lower"
     EQUALITY = "equality"
     REVERSED = "reversed"
 
 
-class BoundId(Enum):
+class BoundId(str, Enum):
     MAIN = "main"
     SIMPLE = "simple"
     GAU1 = "gau1"

@@ -12,11 +12,11 @@ non-finite one as null, CSV as ``nan`` or ``inf``.
 Each verb's handler gets arguments already validated by argparse, does the
 work and returns ``(parameters, records, body, exit_code)``: ``body`` builds
 the JSON members on call, and ``records`` are the CSV rows.  A check's record,
-from ``check`` or ``sweep``, is one flat tuple in ``CHECK_COLUMNS`` order: its
-CSV row writes it as it is, and its JSON result is ``check_dict``'s nesting of
-it.  Every other verb's record is a dict, flattened into a CSV row under a header
-taken from the first.  ``sweep`` hands its records over as iterators, so each is
-made as it is written.  :func:`run` is the only place that writes output.
+from ``check`` or ``sweep``, is one flat ``CheckReport`` whose fields are
+``CHECK_COLUMNS``: its CSV row writes it as it is, and its JSON result is its
+``to_dict``.  Every other verb's record is a dict, flattened into a CSV row under a
+header taken from the first.  ``sweep``'s records are built as they are read, so each
+is made as it is written.  :func:`run` is the only place that writes output.
 
 Exit codes: 0 success (all checks HOLDS/INCONCLUSIVE), 1 some check
 VIOLATED, 2 usage error, 3 numerical failure; a reader that closes stdout
@@ -40,10 +40,10 @@ from .errors import BesselIntError, InvalidDomain
 from .oracle import TOL_MAX, TOL_MIN, IntegralSpec, bessel_integral, check_tol
 from .verifier import (
     CHECK_COLUMNS,
+    CheckReport,
     Grid,
     SkippedPoint,
     Verdict,
-    check_dict,
     check_point,
     default_grid,
     find_crossover,
@@ -232,7 +232,7 @@ def _encode(value) -> str:
 def _write_json(out, members: dict) -> None:
     """``members`` one per line, a non-empty list or iterator one entry per line, each
     line one :func:`_encode` (CPython's C encoder, which ``indent`` turns off), none joined.
-    A check's entry comes nested already, one ``check_dict`` of its flat record."""
+    A check's entry comes nested already, one ``CheckReport.to_dict``."""
     for i, (key, value) in enumerate(members.items()):
         out.write(f"{',' if i else '{'}\n{_encode(key)}: ")
         if isinstance(value, (list, Iterator)):
@@ -263,8 +263,9 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     """Parse argv, execute, write to ``out`` (default stdout), return exit code.
 
     JSON goes through :func:`_write_json`.  A CSV is a header and one row per record:
-    check records, flat tuples, are written as they arrive under ``CHECK_COLUMNS``, and
-    dict records are flattened by :func:`_csv_row` under :func:`_columns` of the first.
+    check records, flat ``CheckReport`` tuples, are written as they arrive under
+    ``CHECK_COLUMNS``, and dict records are flattened by :func:`_csv_row` under
+    :func:`_columns` of the first.
     """
     out = out if out is not None else sys.stdout
     try:
@@ -285,8 +286,8 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         else:
             records = iter(records)
             first = next(records, None)
-            if first is not None:  # a tuple is a check's flat record, written as it is
-                flat = type(first) is tuple
+            if first is not None:  # a check's record is written as it is
+                flat = isinstance(first, CheckReport)
                 rows = itertools.chain([first], records)
                 writer = csv.writer(out)
                 writer.writerow(CHECK_COLUMNS if flat else _columns(first))
@@ -330,7 +331,7 @@ def _check(args):
     return (
         {"bound": args.bound.value, "nu": point.nu, "n": point.n, "mu": point.mu,
          "gamma": point.gamma, "x": point.x, "exploratory": args.exploratory},
-        [report.flat()],
+        [report],
         lambda: {"results": [report.to_dict()], "summary": {"verdict": report.verdict.value}},
         EXIT_VIOLATED if report.verdict is Verdict.VIOLATED else EXIT_OK,
     )
@@ -351,8 +352,8 @@ def _sweep(args):
          "nu": list(grid.nu_values), "gamma": list(grid.gamma_values),
          "x": list(grid.x_values), "n": list(grid.n_values),
          "mu": list(grid.mu_values)},
-        result.flat(),
-        lambda: {"results": map(check_dict, result.flat()),
+        result.reports,
+        lambda: {"results": map(CheckReport.to_dict, result.reports),
                  "skipped": map(SkippedPoint.to_dict, result.skipped),
                  "summary": dict(result.counts)},
         EXIT_VIOLATED if result.counts["violated"] else EXIT_OK,

@@ -17,10 +17,10 @@ Each row's verdicts come from one loop, and a single check is a one-x row.  A
 A row holds only values that the garbage collector untracks (codes for enums, bytes
 for numeric columns), so a full collection in a process that keeps results skips them.
 
-A check's record, as the CLI writes it, is one flat tuple in :data:`CHECK_COLUMNS`
-order: a CSV row writes it as it is, and :func:`check_dict` nests it for JSON.
-:meth:`CheckReport.flat` gives it for one report and :meth:`SweepResult.flat` for a
-sweep's, zipped from the packed rows with no :class:`CheckReport` built per check.
+A check's record, from :func:`check_point` or a sweep, is one flat
+:class:`CheckReport` whose fields are the CSV columns of ``check`` and ``sweep``
+(:data:`CHECK_COLUMNS`): a CSV row writes it as it is, and :meth:`CheckReport.to_dict`
+nests it for JSON.  A sweep zips its records from the packed rows when read.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .bounds import (
     check_row,
     row_step,
 )
-from .errors import BesselIntError, InvalidDomain, NotFound
+from .errors import BesselIntError, InvalidDomain, NonConvergence, NotFound
 from .oracle import (
     IntegralSpec,
     QuadResult,
@@ -63,7 +63,6 @@ __all__ = [
     "Grid",
     "RelErrTable",
     "default_grid",
-    "check_dict",
     "check_point",
     "sweep",
     "relative_error_table",
@@ -74,42 +73,22 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
-#: what a failed check was judged against: no value, and an error that is unknown, not 0
-_NO_ORACLE = QuadResult(0, 0.0, math.nan, 0, False)
-_QUAD = struct.Struct("=bddq?")  # a QuadResult packed, as a sweep keeps its oracle results
+#: the oracle sign, log and error of a failed check: no value, and an error that is unknown, not 0
+_NO_ORACLE = (0, 0.0, math.nan)
+_QUAD = struct.Struct("=bdd")  # an oracle result's sign, log and error, as a sweep keeps them
 
 
-class Verdict(Enum):
+class Verdict(str, Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
     INCONCLUSIVE = "inconclusive"
 
 
 _HOLDS, _VIOLATED, _INCONCLUSIVE = _VERDICTS = tuple(Verdict)  # a sweep keeps the index
-_VERDICT_VALUES = tuple(v.value for v in _VERDICTS)
 
 
 def _point_dict(nu: float, n: float, mu: Optional[float], gamma: float, x: float) -> dict:
     return {"nu": nu, "n": n, "mu": mu, "gamma": gamma, "x": x}
-
-
-def check_dict(record: tuple) -> dict:
-    """The JSON nesting of a check's flat record (:data:`CHECK_COLUMNS` order): its
-    point and each ``(sign, log_abs)`` become members, everything else stays as it is."""
-    (bound, nu, n, mu, gamma, x, sign, log, o_sign, o_log, o_err, margin, unc,
-     direction, reason, verdict) = record
-    return {
-        "bound": bound,
-        "point": _point_dict(nu, n, mu, gamma, x),
-        "bound_value": log_dict(sign, log),
-        "oracle_value": log_dict(o_sign, o_log),
-        "oracle_rel_err": o_err,
-        "rel_margin": margin,
-        "uncertainty": unc,
-        "direction": direction,
-        "reason": reason,
-        "verdict": verdict,  # last: a CSV reader may take it by position
-    }
 
 
 def _point(r) -> Point:
@@ -117,9 +96,11 @@ def _point(r) -> Point:
 
 
 class CheckReport(NamedTuple):
-    """One check, flat: its point's coordinates, its bound's ``(sign, log)``
-    and the oracle result it was judged against are fields, and ``point``
-    and ``bound_value`` are built when read."""
+    """One check, flat, its fields the CSV columns of ``check`` and ``sweep``: its
+    point's coordinates, its bound's and the oracle's ``(sign, log_abs)``, the oracle's
+    error, and the verdict last, where a CSV reader may take it by position.  Its enums
+    are ``str`` enums, which CSV and JSON write as their values.  ``point`` and
+    ``bound_value`` are built when read."""
 
     bound: BoundId
     nu: float
@@ -128,30 +109,42 @@ class CheckReport(NamedTuple):
     gamma: float
     x: float
     bound_sign: int
-    bound_log: float
-    oracle: QuadResult
-    verdict: Verdict
+    bound_log_abs: float
+    oracle_sign: int
+    oracle_log_abs: float
+    oracle_rel_err: float
     rel_margin: float
     uncertainty: float
     direction: Direction
-    reason: Optional[str] = None
+    reason: Optional[str]
+    verdict: Verdict
 
     point = property(_point)
 
     @property
     def bound_value(self) -> ScaledValue:
-        return ScaledValue(self.bound_sign, self.bound_log)
-
-    def flat(self) -> tuple:
-        """This check's flat record, in :data:`CHECK_COLUMNS` order."""
-        o = self.oracle
-        return (self.bound.value, self.nu, self.n, self.mu, self.gamma, self.x,
-                self.bound_sign, self.bound_log, o.sign, o.log_abs, o.rel_err,
-                self.rel_margin, self.uncertainty, self.direction.value, self.reason,
-                self.verdict.value)
+        return ScaledValue(self.bound_sign, self.bound_log_abs)
 
     def to_dict(self) -> dict:
-        return check_dict(self.flat())
+        """The JSON nesting: the point and each ``(sign, log_abs)`` become members."""
+        (bound, nu, n, mu, gamma, x, sign, log, o_sign, o_log, o_err, margin, unc,
+         direction, reason, verdict) = self
+        return {
+            "bound": bound,
+            "point": _point_dict(nu, n, mu, gamma, x),
+            "bound_value": log_dict(sign, log),
+            "oracle_value": log_dict(o_sign, o_log),
+            "oracle_rel_err": o_err,
+            "rel_margin": margin,
+            "uncertainty": unc,
+            "direction": direction,
+            "reason": reason,
+            "verdict": verdict,
+        }
+
+
+#: a check's fields, in order: the CSV header of ``check`` and ``sweep``
+CHECK_COLUMNS = CheckReport._fields
 
 
 class SkippedPoint(NamedTuple):
@@ -179,60 +172,39 @@ def _floats(column: bytes | tuple) -> Iterable[float]:
     return memoryview(column).cast("d") if type(column) is bytes else column
 
 
-# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, xs, oracle results,
-# bound signs, bound logs, verdict codes, margins, uncertainties, direction value, reasons
-# or None if none failed).  A report reads it as a CheckReport, the CLI as a flat record.
-
-#: a check's flat record, in order: the CSV header of ``check`` and ``sweep``
-CHECK_COLUMNS = ("bound", "nu", "n", "mu", "gamma", "x", "bound_sign", "bound_log_abs",
-                 "oracle_sign", "oracle_log_abs", "oracle_rel_err", "rel_margin",
-                 "uncertainty", "direction", "reason", "verdict")
+# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, xs, its integral's
+# packed oracle results, bound signs, bound logs, verdict codes, margins, uncertainties,
+# direction value, reasons or None if none failed).  Its records are CheckReports.
 
 
-def _oracle_results(row: tuple, memo: dict) -> list[QuadResult]:
-    """The oracle result each check of a checked row was judged against: its integral's,
-    unpacked once per integral and read, or :data:`_NO_ORACLE` for a failed check."""
-    oracle, reasons = row[6], row[13]
+def _report_columns(row: tuple, memo: dict) -> list:
+    """The columns of a checked row, one per :class:`CheckReport` field after gamma.  Each
+    integral's oracle results are unpacked once per ``memo``; a failed check's are
+    :data:`_NO_ORACLE`."""
+    *_, xs, oracle, signs, logs, codes, margins, uncs, direction, reasons = row
     if (results := memo.get(oracle)) is None:
-        results = memo[oracle] = list(map(tuple.__new__, itertools.repeat(QuadResult),
-                                          _QUAD.iter_unpack(oracle)))
-    return [_NO_ORACLE if r else o for o, r in zip(results, reasons)] if reasons else results
-
-
-def _check_columns(row: tuple, memo: dict) -> list:
-    """The columns of a checked row, one per :class:`CheckReport` field after gamma."""
-    *_, xs, _, signs, logs, codes, margins, uncs, direction, reasons = row
-    return [xs, memoryview(signs).cast("b"), _floats(logs), _oracle_results(row, memo),
-            map(_VERDICTS.__getitem__, codes), _floats(margins), _floats(uncs),
-            itertools.repeat(Direction(direction)), reasons or itertools.repeat(None)]
-
-
-def _flat_columns(row: tuple, memo: dict) -> list:
-    """The columns of a checked row, one per :data:`CHECK_COLUMNS` entry after gamma:
-    each enum as its value and the oracle result spread over its sign, log and error."""
-    *_, xs, _, signs, logs, codes, margins, uncs, direction, reasons = row
-    o_signs, o_logs, o_errs, _, _ = zip(*_oracle_results(row, memo))
-    return [xs, memoryview(signs).cast("b"), _floats(logs), o_signs, o_logs, o_errs,
-            _floats(margins), _floats(uncs), itertools.repeat(direction),
-            reasons or itertools.repeat(None), map(_VERDICT_VALUES.__getitem__, codes)]
+        results = memo[oracle] = tuple(zip(*_QUAD.iter_unpack(oracle)))
+    if reasons:
+        results = zip(*[_NO_ORACLE if r else o for o, r in zip(zip(*results), reasons)])
+    return [xs, memoryview(signs).cast("b"), _floats(logs), *results, _floats(margins),
+            _floats(uncs), itertools.repeat(Direction(direction)),
+            reasons or itertools.repeat(None), map(_VERDICTS.__getitem__, codes)]
 
 
 class _Records(collections.abc.Sequence):
     """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma,
     xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
-    of ``columns(row, memo)``, built each time it is read.  A slice is a list.  With
-    ``record`` None, each is a plain tuple with the bound as its value."""
+    of ``columns(row, memo)``, built each time it is read.  A slice is a list."""
 
-    def __init__(self, rows: list[tuple], record: Optional[type], columns: Callable) -> None:
+    def __init__(self, rows: list[tuple], record: type, columns: Callable) -> None:
         self._rows, self._record, self._columns = rows, record, columns
         self._starts = list(itertools.accumulate((len(row[5]) for row in rows), initial=0))
 
     def _build(self, row: tuple, memo: dict) -> Iterator:
         # no Python-level constructor per record: zip reuses its tuple once it is copied
-        head = row[:5] if self._record is None else (BoundId(row[0]), *row[1:5])
-        fields = zip(*map(itertools.repeat, head), *self._columns(row, memo))
-        return fields if self._record is None else map(
-            tuple.__new__, itertools.repeat(self._record), fields)
+        fields = zip(*map(itertools.repeat, (BoundId(row[0]), *row[1:5])),
+                     *self._columns(row, memo))
+        return map(tuple.__new__, itertools.repeat(self._record), fields)
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -264,11 +236,6 @@ class SweepResult:
     skipped: Sequence[SkippedPoint]
     counts: dict[str, int]
 
-    def flat(self) -> Sequence[tuple]:
-        """Each report's :meth:`CheckReport.flat` record, in order, zipped from the packed
-        rows when read, each integral's oracle results unpacked once per read."""
-        return _Records(self.reports._rows, None, _flat_columns)
-
 
 def _row_reports(direction: Direction, step: Callable[[float], tuple[int, float, int, float]],
                  results: Iterable[tuple[float, QuadResult | BesselIntError]]) -> list[tuple]:
@@ -294,12 +261,13 @@ def _row_reports(direction: Direction, step: Callable[[float], tuple[int, float,
                        + (math.expm1(rounding) if rounding < 709.0 else math.inf) + share)
                 verdict = (_HOLDS if margin > unc else
                            _VIOLATED if margin < -unc else _INCONCLUSIVE)
-                reports.append((sign, log, oracle, verdict, margin, unc, direction, None))
+                reports.append((sign, log, o_sign, o_log, o_err, margin, unc, direction, None,
+                                verdict))
                 continue
             except BesselIntError as exc:
                 oracle = exc
-        reports.append((0, 0.0, _NO_ORACLE, _INCONCLUSIVE, math.nan, math.inf, direction,
-                        f"{type(oracle).__name__}: {oracle}"))
+        reports.append((0, 0.0, *_NO_ORACLE, math.nan, math.inf, direction,
+                        f"{type(oracle).__name__}: {oracle}", _INCONCLUSIVE))
     return reports
 
 
@@ -312,12 +280,18 @@ def check_point(id: BoundId, point: Point, tol: float = 1e-10,
     :func:`row_step` step, so that a bound can be probed outside its hypotheses
     (e.g. PROP1 with mu < 1/2, which is expected to flip at large x); either
     runs before the oracle, and its :class:`InvalidDomain` (``x <= 0``, or a
-    closed form undefined at the point) propagates.
+    closed form undefined at the point) propagates, as does the oracle's (an
+    integral past the float representation).  An oracle that does not converge,
+    such as one that needs more series terms than it allows, makes the check
+    INCONCLUSIVE with its error as the reason, as in a :func:`sweep`.
     """
     check_tol(tol)
     value = (row_step(id, point)(point.x) if exploratory else
              bound_value(id, point.nu, point.n, point.mu, point.gamma, point.x)[:4])
-    oracle = bessel_integral(CATALOG[id].integrand(point), tol)
+    try:
+        oracle = bessel_integral(CATALOG[id].integrand(point), tol)
+    except NonConvergence as exc:
+        oracle = exc
     (fields,) = _row_reports(CATALOG[id].direction_at(point), lambda x: value,
                              [(point.x, oracle)])
     return CheckReport(id, point.nu, point.n, point.mu, point.gamma, point.x, *fields)
@@ -356,9 +330,10 @@ def default_grid() -> Grid:
 
 
 def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: float) -> tuple:
-    """Each x's integral, or the error that stands in for it, and all of them packed
-    (:data:`_NO_ORACLE` for an error): one oracle call per row, where the benchmark tracer
-    counts rows, and on failure one per x, so that an error stands in only for its own."""
+    """Each x's integral, or the error that stands in for it, and the sign, log and error
+    of each packed (:data:`_NO_ORACLE`'s for an error): one oracle call per row, where the
+    benchmark tracer counts rows, and on failure one per x, so that an error stands in only
+    for its own."""
     try:
         results: list = cumulative_bessel_integral(mu, ordv, gamma, xs, tol)
     except BesselIntError:
@@ -369,7 +344,7 @@ def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: 
             except BesselIntError as exc:
                 results.append(exc)
     return results, b"".join(itertools.starmap(_QUAD.pack, (
-        _NO_ORACLE if isinstance(r, BesselIntError) else r for r in results)))
+        _NO_ORACLE if isinstance(r, BesselIntError) else r[:3] for r in results)))
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
@@ -409,7 +384,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     checked = []
     for bid, row, spec, direction in plan:
         results, oracle = integrals[spec.mu, spec.ord, spec.gamma]
-        signs, logs, _, verdicts, margins, uncs, _, reasons = zip(*_row_reports(
+        signs, logs, _, _, _, margins, uncs, _, reasons, verdicts = zip(*_row_reports(
             direction, row_step(bid, row), zip(limits, results)))
         checked.append((bid.value, row.nu, row.n, row.mu, row.gamma, limits, oracle,
                         array("b", signs).tobytes(), _pack(logs),
@@ -417,7 +392,7 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
                         direction.value, reasons if any(reasons) else None))
     counts = {v.value: sum(row[9].count(code) for row in checked)  # row[9]: its verdict codes
               for code, v in enumerate(_VERDICTS)}
-    return SweepResult(reports=_Records(checked, CheckReport, _check_columns), counts=counts,
+    return SweepResult(reports=_Records(checked, CheckReport, _report_columns), counts=counts,
                        skipped=_Records(skipped, SkippedPoint, lambda row, memo: row[5:]))
 
 

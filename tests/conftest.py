@@ -1,3 +1,4 @@
+import enum
 import math
 import sys
 import threading
@@ -6,6 +7,12 @@ import mpmath as mp
 import pytest
 
 mp.mp.dps = 25
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """An enum member's test id is ``Class.NAME`` on every Python version, as before the
+    enums became ``str`` enums, which pytest would otherwise name by their values."""
+    return f"{type(val).__name__}.{val.name}" if isinstance(val, enum.Enum) else None
 
 
 def sv_float(sv) -> float:
