@@ -9,13 +9,16 @@ rounding of both logs), and no tolerance widens it: a strict inequality can
 never be certified at an equality point, so a margin inside the band is
 neither pass nor failure.
 
-Sweeps go a (bound, nu, n, mu, gamma) row at a time, evaluating each integral
-once, grouped by mu + ord + 1: checks that share an integral share its oracle
-result, and an integral whose series fails turns only its checks INCONCLUSIVE.
+Sweeps go one integral at a time, grouped by mu + ord + 1: each distinct
+``(mu, ord, gamma)`` row of the oracle is summed once, and every (bound, nu, n, mu,
+gamma) row that checks against it runs and is packed before the next integral, so
+one integral's results are alive at a time.  Checks that share an integral share its
+oracle result, and an integral whose series fails turns only its checks INCONCLUSIVE.
 Each row's verdicts come from one loop, and a single check is a one-x row.  A
 :class:`SweepResult` keeps each row's checks as columns and builds a record when read.
 A row holds only values that the garbage collector untracks (codes for enums, bytes
-for numeric columns), so a full collection in a process that keeps results skips them.
+for numeric columns and x values, one string for a skipped row's xs that share a
+reason), so a full collection in a process that keeps results skips them.
 
 A check's record, from :func:`check_point` or a sweep, is one flat
 :class:`CheckReport` whose fields are the CSV columns of ``check`` and ``sweep``
@@ -164,15 +167,16 @@ class SkippedPoint(NamedTuple):
 
 
 def _pack(column: tuple) -> bytes | tuple:
-    """A float column as bytes, kept if it holds ``math.nan``, so that records compare equal."""
-    return column if math.nan in column else array("d", column).tobytes()
+    """A float column as bytes, kept if it may hold a NaN (its sum is NaN), so that records
+    compare equal: a NaN unpacked from bytes is a new object, equal to no other."""
+    return column if math.isnan(sum(column)) else array("d", column).tobytes()
 
 
 def _floats(column: bytes | tuple) -> Iterable[float]:
     return memoryview(column).cast("d") if type(column) is bytes else column
 
 
-# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, xs, its integral's
+# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, packed xs, its integral's
 # packed oracle results, bound signs, bound logs, verdict codes, margins, uncertainties,
 # direction value, reasons or None if none failed).  Its records are CheckReports.
 
@@ -186,19 +190,24 @@ def _report_columns(row: tuple, memo: dict) -> list:
         results = memo[oracle] = tuple(zip(*_QUAD.iter_unpack(oracle)))
     if reasons:
         results = zip(*[_NO_ORACLE if r else o for o, r in zip(zip(*results), reasons)])
-    return [xs, memoryview(signs).cast("b"), _floats(logs), *results, _floats(margins),
+    return [_floats(xs), memoryview(signs).cast("b"), _floats(logs), *results, _floats(margins),
             _floats(uncs), itertools.repeat(Direction(direction)),
             reasons or itertools.repeat(None), map(_VERDICTS.__getitem__, codes)]
 
 
+def _skip_columns(row: tuple, memo: dict) -> tuple:
+    """A skipped row's xs and reasons: one reason that its xs share is kept once."""
+    return _floats(row[5]), itertools.repeat(row[6]) if type(row[6]) is str else row[6]
+
+
 class _Records(collections.abc.Sequence):
     """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma,
-    xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
+    packed xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
     of ``columns(row, memo)``, built each time it is read.  A slice is a list."""
 
     def __init__(self, rows: list[tuple], record: type, columns: Callable) -> None:
         self._rows, self._record, self._columns = rows, record, columns
-        self._starts = list(itertools.accumulate((len(row[5]) for row in rows), initial=0))
+        self._starts = list(itertools.accumulate((len(_floats(r[5])) for r in rows), initial=0))
 
     def _build(self, row: tuple, memo: dict) -> Iterator:
         # no Python-level constructor per record: zip reuses its tuple once it is copied
@@ -348,7 +357,7 @@ def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: 
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
-    """Check every bound at every valid grid point, a row at a time.
+    """Check every bound at every valid grid point, one integral at a time.
 
     Out-of-domain points are skipped and recorded with the violated hypothesis,
     checked once per row and ``x > 0`` per x; evaluation errors become
@@ -356,8 +365,10 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     the oracle cannot sum (for example one that needs more series terms than
     the oracle allows): the checks that need it are INCONCLUSIVE with its
     error, and every other check, on the same ``(mu, ord, gamma)`` row too,
-    goes on as usual.  Each distinct oracle row runs once, before any check,
-    grouped by ``mu + ord + 1`` (then gamma) to share the oracle's S tables.
+    goes on as usual.  Each distinct oracle row runs once, grouped by
+    ``mu + ord + 1`` (then mu, then gamma) to share the oracle's S tables and the
+    bounds' ratio lists, and every row that checks against it runs and is packed
+    before the next, so that one integral's results are alive at a time.
     Output order is canonical whatever the order of ``ids`` or of the axes, and a
     repeated id or axis value counts once, -0.0 as 0.0: bounds by id value, then
     the product of the sorted axes.  As in :func:`check_point`, ``tol`` goes to
@@ -366,34 +377,41 @@ def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult
     check_tol(tol)
     nus, ns, mus, gammas, xs = (sorted({v + 0.0 for v in axis}) for axis in (  # -0.0 + 0.0 is 0.0
         grid.nu_values, grid.n_values, grid.mu_values, grid.gamma_values, grid.x_values))
-    # hypotheses hold per row and x > 0 per x: so these are every checked and oracle row's xs
+    # hypotheses hold per row and x > 0 per x: so a checked row's xs are these, and a
+    # skipped row's are every x (a violated hypothesis) or the rest (x > 0 alone)
     limits = tuple(x for x in xs if x > 0)
-    skipped = []  # (bound value, nu, n, mu, gamma, its skipped xs, their reasons)
-    plan = []  # (bound, row, its integral, its direction), in output order
+    packed_xs, packed_limits, packed_rest = map(_pack, (
+        tuple(xs), limits, tuple(x for x in xs if not x > 0)))
+    skipped = []  # (bound value, nu, n, mu, gamma, its packed xs, their one reason or each's)
+    plan = []  # (bound, row, its direction), in output order
+    uses = {}  # each integral's (mu, ord, gamma): the indices of the plan rows that need it
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
         axes = (nus, ns if entry.uses_n else [0.0], mus if entry.uses_mu else [None], gammas)
         for row in itertools.starmap(Point, itertools.product(*axes)):
-            if skips := [(x, r) for x, r in zip(xs, entry.reasons(row, xs)) if r is not None]:
-                skipped.append((bid.value, row.nu, row.n, row.mu, row.gamma, *zip(*skips)))
+            if skips := [r for r in entry.reasons(row, xs) if r is not None]:
+                skipped.append((bid.value, row.nu, row.n, row.mu, row.gamma,
+                                packed_xs if len(skips) == len(xs) else packed_rest,
+                                skips[0] if skips.count(skips[0]) == len(skips) else tuple(skips)))
             if len(skips) < len(xs):
-                plan.append((bid, row, entry.integrand(row), entry.direction_at(row)))
-    keys = dict.fromkeys((spec.mu, spec.ord, spec.gamma) for *_, spec, _ in plan)
-    integrals = {key: _oracle_row(*key, limits, tol)
-                 for key in sorted(keys, key=lambda k: (k[0] + k[1], k[2]))}
-    checked = []
-    for bid, row, spec, direction in plan:
-        results, oracle = integrals[spec.mu, spec.ord, spec.gamma]
-        signs, logs, _, _, _, margins, uncs, _, reasons, verdicts = zip(*_row_reports(
-            direction, row_step(bid, row), zip(limits, results)))
-        checked.append((bid.value, row.nu, row.n, row.mu, row.gamma, limits, oracle,
-                        array("b", signs).tobytes(), _pack(logs),
-                        bytes(map(_VERDICTS.index, verdicts)), _pack(margins), _pack(uncs),
-                        direction.value, reasons if any(reasons) else None))
+                spec = entry.integrand(row)
+                uses.setdefault((spec.mu, spec.ord, spec.gamma), []).append(len(plan))
+                plan.append((bid, row, entry.direction_at(row)))
+    checked = [None] * len(plan)
+    for key in sorted(uses, key=lambda k: (k[0] + k[1], k[0], k[2])):
+        results, oracle = _oracle_row(*key, limits, tol)
+        for i in uses[key]:
+            bid, row, direction = plan[i]
+            signs, logs, _, _, _, margins, uncs, _, reasons, verdicts = zip(*_row_reports(
+                direction, row_step(bid, row), zip(limits, results)))
+            checked[i] = (bid.value, row.nu, row.n, row.mu, row.gamma, packed_limits, oracle,
+                          array("b", signs).tobytes(), _pack(logs),
+                          bytes(map(_VERDICTS.index, verdicts)), _pack(margins), _pack(uncs),
+                          direction.value, reasons if any(reasons) else None)
     counts = {v.value: sum(row[9].count(code) for row in checked)  # row[9]: its verdict codes
               for code, v in enumerate(_VERDICTS)}
     return SweepResult(reports=_Records(checked, CheckReport, _report_columns), counts=counts,
-                       skipped=_Records(skipped, SkippedPoint, lambda row, memo: row[5:]))
+                       skipped=_Records(skipped, SkippedPoint, _skip_columns))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point, bound_value, row_step
-from besselint import bounds, cli, oracle
+from besselint import bounds, cli, kernel, oracle
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
 from besselint.scaled import ScaledValue
@@ -368,13 +368,19 @@ class TestFlatRecords:
     def test_held_result_gives_the_collector_nothing_to_walk(self):
         # every row holds only values the collector untracks (str, float, int, None,
         # bytes and tuples of these), so a held result keeps a few containers
-        # whatever the grid's size; unpacked columns kept about 6 870 objects here
-        res = sweep(list(BoundId), replace(default_grid(), gamma_values=(0.0, 0.5)))
-        gc.collect()
-        objects = len(gc.get_objects())
-        del res
-        gc.collect()
-        assert objects - len(gc.get_objects()) <= 32
+        # whatever the grid's size; unpacked columns kept about 6 870 objects here.
+        # After a warm sweep too: rows that held their xs as a tuple stayed tracked
+        grid = replace(default_grid(), gamma_values=(0.0, 0.5))
+        for warm in (False, True):
+            if warm:
+                sweep(list(BoundId), grid)
+            res = sweep(list(BoundId), grid)
+            gc.collect()
+            objects = len(gc.get_objects())
+            assert not any(map(gc.is_tracked, res.reports._rows + res.skipped._rows))
+            del res
+            gc.collect()
+            assert objects - len(gc.get_objects()) <= 32
 
     def test_records_carry_what_the_emitters_leave_out(self):
         # JSON and CSV write each enum as its value, so the pinned output digests
@@ -398,6 +404,9 @@ class TestFlatRecords:
         (IDS, GRID),
         ([BoundId.MAIN], Grid((0.0,), (0.0,), (1.0, 2e5))),  # x = 2e5 fails
         ([BoundId.PROP1], Grid((0.0,), (0.0,), (1.0, 5.0), mu_values=(0.0,))),  # all skipped
+        # nu = -0.75 skips x = 0 and x = 1 for two reasons, nu = 0 only x = 0 for one
+        ([BoundId.MAIN], Grid((-0.75, 0.0), (0.0,), (0.0, 1.0))),
+        ([BoundId.MAIN], Grid((0.0,), (0.0,), (math.nan, 1.0))),  # a NaN x is skipped
     ]
 
     @pytest.mark.parametrize("ids, grid", GRIDS)
@@ -558,3 +567,39 @@ class TestSharedTables:
         for spec, result in grouped.items():
             bessel_integral(spacer, 1e-11)
             assert bessel_integral(spec, 1e-11)[:3] == result
+
+
+class TestOneIntegralAtATime:
+    """A sweep checks each oracle row's bounds as soon as the row is summed."""
+
+    def test_cold_sweep_peak(self):
+        # all 11 928 oracle results alive at once took the peak to about 4.7 MB
+        kernel.besseli.cache_clear()
+        kernel.besselk.cache_clear()
+        tracemalloc.start()
+        try:
+            sweep(list(BoundId), default_grid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0e6
+
+    def test_integral_order_shares_the_tables(self, monkeypatch):
+        # integrals go by mu + ord + 1, then mu, then gamma: p0's S tables are each
+        # built once, and LOWER1 at nu and LOWER3 at nu + 1/2, which share p0, do not
+        # take turns in the one-entry ratio-list cache
+        calls = {"s": 0, "ratios": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "_s_ratios", counted("s", oracle._s_ratios))
+        monkeypatch.setattr(kernel, "besseli_ratios", counted("ratios", kernel.besseli_ratios))
+        oracle._s_tables.cache_clear()
+        bounds._ratio_lists.cache_clear()
+        sweep(list(BoundId), default_grid())
+        assert calls["s"] == 5436
+        assert calls["ratios"] <= 1060
