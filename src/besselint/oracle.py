@@ -83,6 +83,8 @@ class IntegralSpec:
                 f"integrand t^{self.mu} I_{self.ord}(t) is not integrable at 0 "
                 f"(needs mu + ord > -1, got {self.mu + self.ord})"
             )
+        if not (math.isfinite(self.mu) and math.isfinite(self.ord)):
+            raise InvalidDomain(f"mu and ord must be finite, got mu={self.mu}, ord={self.ord}")
         if not 0.0 <= self.gamma <= 1.0:
             raise InvalidDomain(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.x < math.inf:

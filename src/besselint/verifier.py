@@ -14,11 +14,11 @@ Sweeps go one integral at a time, grouped by mu + ord + 1: each distinct
 gamma) row that checks against it runs and is packed before the next integral, so
 one integral's results are alive at a time.  Checks that share an integral share its
 oracle result, and an integral whose series fails turns only its checks INCONCLUSIVE.
-Each row's verdicts come from one loop, and a single check is a one-x row.  A
-:class:`SweepResult` keeps each row's checks as columns and builds a record when read.
-A row holds only values that the garbage collector untracks (codes for enums, bytes
-for numeric columns and x values, one string for a skipped row's xs that share a
-reason), so a full collection in a process that keeps results skips them.
+Each row's verdicts come from one loop, and a single check is a one-x row.  A sweep
+refuses x <= 0, as every verb does, so each row spans the one x axis.  A
+:class:`SweepResult` keeps that axis once and each row's checks as columns, and builds a
+record when read.  A row holds only values that the garbage collector untracks (codes for
+enums, bytes for numeric columns, one string for reasons), so a full collection skips them.
 
 A check's record, from :func:`check_point` or a sweep, is one flat
 :class:`CheckReport` whose fields are the CSV columns of ``check`` and ``sweep``
@@ -28,7 +28,6 @@ nests it for JSON.  A sweep zips its records from the packed rows when read.
 
 from __future__ import annotations
 
-import bisect
 import collections.abc
 import itertools
 import math
@@ -76,8 +75,8 @@ __all__ = [
 #: relative slack granted to the kernel evaluations inside bound formulas
 KERNEL_UNCERTAINTY = 2e-12
 
-#: the oracle sign, log and error of a failed check: no value, and an error that is unknown, not 0
-_NO_ORACLE = (0, 0.0, math.nan)
+#: a failed check's oracle sign, log and error and margin: no value, and unknowns, not 0
+_FAILED = (0, 0.0, math.nan, math.nan)
 _QUAD = struct.Struct("=bdd")  # an oracle result's sign, log and error, as a sweep keeps them
 
 
@@ -166,57 +165,53 @@ class SkippedPoint(NamedTuple):
                 "reason": self.reason}
 
 
-def _pack(column: tuple) -> bytes | tuple:
-    """A float column as bytes, kept if it may hold a NaN (its sum is NaN), so that records
-    compare equal: a NaN unpacked from bytes is a new object, equal to no other."""
-    return column if math.isnan(sum(column)) else array("d", column).tobytes()
+def _floats(column: bytes) -> memoryview:
+    return memoryview(column).cast("d")
 
 
-def _floats(column: bytes | tuple) -> Iterable[float]:
-    return memoryview(column).cast("d") if type(column) is bytes else column
-
-
-# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, packed xs, its integral's
-# packed oracle results, bound signs, bound logs, verdict codes, margins, uncertainties,
-# direction value, reasons or None if none failed).  Its records are CheckReports.
+# A checked row, as a sweep keeps it: (bound value, nu, n, mu, gamma, its integral's packed
+# oracle results, bound signs, verdict codes, bound logs, margins, uncertainties, direction
+# value, None or, if a check failed, each x's reason or "" joined by NUL): CheckReports.
 
 
 def _report_columns(row: tuple, memo: dict) -> list:
-    """The columns of a checked row, one per :class:`CheckReport` field after gamma.  Each
-    integral's oracle results are unpacked once per ``memo``; a failed check's are
-    :data:`_NO_ORACLE`."""
-    *_, xs, oracle, signs, logs, codes, margins, uncs, direction, reasons = row
+    """The columns of a checked row, one per :class:`CheckReport` field after x.  Each
+    integral's oracle results are unpacked once per ``memo``; a failed check's, with its
+    margin, are :data:`_FAILED`'s, so that records compare equal: a NaN unpacked from
+    bytes is a new object, equal to no other."""
+    *_, oracle, signs, codes, logs, margins, uncs, direction, reasons = row
     if (results := memo.get(oracle)) is None:
         results = memo[oracle] = tuple(zip(*_QUAD.iter_unpack(oracle)))
-    if reasons:
-        results = zip(*[_NO_ORACLE if r else o for o, r in zip(zip(*results), reasons)])
-    return [_floats(xs), memoryview(signs).cast("b"), _floats(logs), *results, _floats(margins),
-            _floats(uncs), itertools.repeat(Direction(direction)),
-            reasons or itertools.repeat(None), map(_VERDICTS.__getitem__, codes)]
+    results = (*results, _floats(margins))
+    if reasons is not None:
+        reasons = [r or None for r in reasons.split("\0")]
+        results = zip(*[_FAILED if r else o for o, r in zip(zip(*results), reasons)])
+    return [memoryview(signs).cast("b"), _floats(logs), *results, _floats(uncs),
+            itertools.repeat(Direction(direction)), reasons or itertools.repeat(None),
+            map(_VERDICTS.__getitem__, codes)]
 
 
 def _skip_columns(row: tuple, memo: dict) -> tuple:
-    """A skipped row's xs and reasons: one reason that its xs share is kept once."""
-    return _floats(row[5]), itertools.repeat(row[6]) if type(row[6]) is str else row[6]
+    """A skipped row's one reason, which every x shares."""
+    return (itertools.repeat(row[5]),)
 
 
 class _Records(collections.abc.Sequence):
-    """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma,
-    packed xs, ...)`` in row order: each a row's bound and coordinates and one entry of each
-    of ``columns(row, memo)``, built each time it is read.  A slice is a list."""
+    """The read-only ``record``s of per-row entries ``(bound value, nu, n, mu, gamma, ...)``
+    at each x of the one packed axis ``xs``, in row order: a row's bound and coordinates, x
+    and one entry of each of ``columns(row, memo)``, built when read.  A slice is a list."""
 
-    def __init__(self, rows: list[tuple], record: type, columns: Callable) -> None:
-        self._rows, self._record, self._columns = rows, record, columns
-        self._starts = list(itertools.accumulate((len(_floats(r[5])) for r in rows), initial=0))
+    def __init__(self, rows: list[tuple], xs: bytes, record: type, columns: Callable) -> None:
+        self._rows, self._xs, self._record, self._columns = rows, xs, record, columns
 
     def _build(self, row: tuple, memo: dict) -> Iterator:
         # no Python-level constructor per record: zip reuses its tuple once it is copied
-        fields = zip(*map(itertools.repeat, (BoundId(row[0]), *row[1:5])),
+        fields = zip(*map(itertools.repeat, (BoundId(row[0]), *row[1:5])), _floats(self._xs),
                      *self._columns(row, memo))
         return map(tuple.__new__, itertools.repeat(self._record), fields)
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return len(self._rows) * len(_floats(self._xs))
 
     def __iter__(self):
         return itertools.chain.from_iterable(map(self._build, self._rows, itertools.repeat({})))
@@ -224,9 +219,8 @@ class _Records(collections.abc.Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        i = range(len(self))[index]  # counts from the end if negative; IndexError past it
-        k = bisect.bisect_right(self._starts, i) - 1
-        return list(self._build(self._rows[k], {}))[i - self._starts[k]]
+        k, j = divmod(range(len(self))[index], len(_floats(self._xs)))  # IndexError past it
+        return list(self._build(self._rows[k], {}))[j]
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (list, _Records)) else NotImplemented
@@ -275,7 +269,7 @@ def _row_reports(direction: Direction, step: Callable[[float], tuple[int, float,
                 continue
             except BesselIntError as exc:
                 oracle = exc
-        reports.append((0, 0.0, *_NO_ORACLE, math.nan, math.inf, direction,
+        reports.append((0, 0.0, *_FAILED, math.inf, direction,
                         f"{type(oracle).__name__}: {oracle}", _INCONCLUSIVE))
     return reports
 
@@ -340,9 +334,9 @@ def default_grid() -> Grid:
 
 def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: float) -> tuple:
     """Each x's integral, or the error that stands in for it, and the sign, log and error
-    of each packed (:data:`_NO_ORACLE`'s for an error): one oracle call per row, where the
-    benchmark tracer counts rows, and on failure one per x, so that an error stands in only
-    for its own."""
+    of each packed (an error's are never read: its check's are :data:`_FAILED`'s): one
+    oracle call per row, where the benchmark tracer counts rows, and on failure one per x,
+    so that an error stands in only for its own."""
     try:
         results: list = cumulative_bessel_integral(mu, ordv, gamma, xs, tol)
     except BesselIntError:
@@ -353,65 +347,67 @@ def _oracle_row(mu: float, ordv: float, gamma: float, xs: Sequence[float], tol: 
             except BesselIntError as exc:
                 results.append(exc)
     return results, b"".join(itertools.starmap(_QUAD.pack, (
-        _NO_ORACLE if isinstance(r, BesselIntError) else r[:3] for r in results)))
+        (_FAILED if isinstance(r, BesselIntError) else r)[:3] for r in results)))
 
 
 def sweep(ids: Sequence[BoundId], grid: Grid, tol: float = 1e-10) -> SweepResult:
-    """Check every bound at every valid grid point, one integral at a time.
+    """Check every bound at every grid point, one integral at a time.
 
-    Out-of-domain points are skipped and recorded with the violated hypothesis,
-    checked once per row and ``x > 0`` per x; evaluation errors become
-    INCONCLUSIVE reports with the failure reason.  That includes an integral
-    the oracle cannot sum (for example one that needs more series terms than
-    the oracle allows): the checks that need it are INCONCLUSIVE with its
-    error, and every other check, on the same ``(mu, ord, gamma)`` row too,
-    goes on as usual.  Each distinct oracle row runs once, grouped by
-    ``mu + ord + 1`` (then mu, then gamma) to share the oracle's S tables and the
-    bounds' ratio lists, and every row that checks against it runs and is packed
-    before the next, so that one integral's results are alive at a time.
-    Output order is canonical whatever the order of ``ids`` or of the axes, and a
-    repeated id or axis value counts once, -0.0 as 0.0: bounds by id value, then
-    the product of the sorted axes.  As in :func:`check_point`, ``tol`` goes to
-    the oracle and moves no verdict.
+    An ``x <= 0`` or a NaN on any axis raises :class:`InvalidDomain` before any
+    work.  A row outside its bound's hypotheses is skipped at every x, recorded
+    with the violated hypothesis; evaluation errors become INCONCLUSIVE reports
+    with the failure reason.  That includes an integral the oracle cannot sum
+    (one at x = inf, or one that needs more series terms than the oracle allows):
+    the checks that need it are INCONCLUSIVE with its error, and every other
+    check, on the same ``(mu, ord, gamma)`` row too, goes on as usual.  Each
+    distinct oracle row runs once, grouped by ``mu + ord + 1`` (then mu, then
+    gamma) to share the oracle's S tables and the bounds' ratio lists, and every
+    row that checks against it runs and is packed before the next, so that one
+    integral's results are alive at a time.  Output order is canonical whatever
+    the order of ``ids`` or of the axes, and a repeated id or axis value counts
+    once, -0.0 as 0.0: bounds by id value, then the product of the sorted axes.
+    As in :func:`check_point`, ``tol`` goes to the oracle and moves no verdict.
     """
     check_tol(tol)
-    nus, ns, mus, gammas, xs = (sorted({v + 0.0 for v in axis}) for axis in (  # -0.0 + 0.0 is 0.0
-        grid.nu_values, grid.n_values, grid.mu_values, grid.gamma_values, grid.x_values))
-    # hypotheses hold per row and x > 0 per x: so a checked row's xs are these, and a
-    # skipped row's are every x (a violated hypothesis) or the rest (x > 0 alone)
-    limits = tuple(x for x in xs if x > 0)
-    packed_xs, packed_limits, packed_rest = map(_pack, (
-        tuple(xs), limits, tuple(x for x in xs if not x > 0)))
-    skipped = []  # (bound value, nu, n, mu, gamma, its packed xs, their one reason or each's)
+    grid_axes = {"nu": grid.nu_values, "n": grid.n_values, "mu": grid.mu_values,
+                 "gamma": grid.gamma_values, "x": grid.x_values}
+    for name, axis in grid_axes.items():
+        if bad := [v for v in axis if math.isnan(v) or name == "x" and not v > 0]:
+            raise InvalidDomain(f"a sweep needs x > 0 and no NaN on an axis (got {name}={bad[0]})")
+    nus, ns, mus, gammas, xs = (sorted({v + 0.0 for v in axis})  # -0.0 + 0.0 is 0.0
+                                for axis in grid_axes.values())
+    skipped = []  # (bound value, nu, n, mu, gamma, its reason)
     plan = []  # (bound, row, its direction), in output order
     uses = {}  # each integral's (mu, ord, gamma): the indices of the plan rows that need it
     for bid in sorted(set(ids), key=lambda b: b.value):
         entry = CATALOG[bid]
         axes = (nus, ns if entry.uses_n else [0.0], mus if entry.uses_mu else [None], gammas)
         for row in itertools.starmap(Point, itertools.product(*axes)):
-            if skips := [r for r in entry.reasons(row, xs) if r is not None]:
-                skipped.append((bid.value, row.nu, row.n, row.mu, row.gamma,
-                                packed_xs if len(skips) == len(xs) else packed_rest,
-                                skips[0] if skips.count(skips[0]) == len(skips) else tuple(skips)))
-            if len(skips) < len(xs):
+            for reason in entry.reasons(row, xs[:1]):  # the row's, at every x; none with no x
+                if reason is not None:
+                    skipped.append((bid.value, row.nu, row.n, row.mu, row.gamma, reason))
+                    continue
                 spec = entry.integrand(row)
                 uses.setdefault((spec.mu, spec.ord, spec.gamma), []).append(len(plan))
                 plan.append((bid, row, entry.direction_at(row)))
     checked = [None] * len(plan)
     for key in sorted(uses, key=lambda k: (k[0] + k[1], k[0], k[2])):
-        results, oracle = _oracle_row(*key, limits, tol)
+        results, oracle = _oracle_row(*key, xs, tol)
         for i in uses[key]:
             bid, row, direction = plan[i]
             signs, logs, _, _, _, margins, uncs, _, reasons, verdicts = zip(*_row_reports(
-                direction, row_step(bid, row), zip(limits, results)))
-            checked[i] = (bid.value, row.nu, row.n, row.mu, row.gamma, packed_limits, oracle,
-                          array("b", signs).tobytes(), _pack(logs),
-                          bytes(map(_VERDICTS.index, verdicts)), _pack(margins), _pack(uncs),
-                          direction.value, reasons if any(reasons) else None)
-    counts = {v.value: sum(row[9].count(code) for row in checked)  # row[9]: its verdict codes
+                direction, row_step(bid, row), zip(xs, results)))
+            checked[i] = (bid.value, row.nu, row.n, row.mu, row.gamma, oracle,
+                          array("b", signs).tobytes(), bytes(map(_VERDICTS.index, verdicts)),
+                          *(array("d", column).tobytes() for column in (logs, margins, uncs)),
+                          direction.value,
+                          "\0".join(r or "" for r in reasons) if any(reasons) else None)
+    counts = {v.value: sum(row[7].count(code) for row in checked)  # row[7]: its verdict codes
               for code, v in enumerate(_VERDICTS)}
-    return SweepResult(reports=_Records(checked, CheckReport, _report_columns), counts=counts,
-                       skipped=_Records(skipped, SkippedPoint, _skip_columns))
+    packed_xs = array("d", xs).tobytes()
+    return SweepResult(reports=_Records(checked, packed_xs, CheckReport, _report_columns),
+                       skipped=_Records(skipped, packed_xs, SkippedPoint, _skip_columns),
+                       counts=counts)
 
 
 # ----------------------------------------------------------------------

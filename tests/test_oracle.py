@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from besselint import kernel
-from besselint.bounds import m_value
+from besselint.bounds import BoundId, m_value
 from besselint.errors import InvalidDomain, NonConvergence
 from besselint.oracle import (
     TOL_MAX,
@@ -17,6 +17,7 @@ from besselint.oracle import (
     cumulative_bessel_integral,
 )
 from besselint.scaled import ScaledValue
+from besselint.verifier import Grid, Verdict, sweep
 
 from conftest import sv_relerr, threads_disagree
 from reference import (
@@ -256,6 +257,32 @@ class TestNonFiniteLimit:
     def test_m_value(self):
         with pytest.raises(InvalidDomain, match="upper limit must be finite and >= 0"):
             m_value(0.0, -0.5, 0, math.inf)
+
+
+class TestNonFiniteOrder:
+    """An infinite mu or ord is refused as an infinite order is by ``besseli``; the series
+    took 1/inf = 0 as its S sum and divided by it."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("mu, ord", [(math.inf, 0.0), (0.0, math.inf)])
+    def test_integral(self, mu, ord, gamma):
+        with pytest.raises(InvalidDomain, match=r"^mu and ord must be finite, got mu="):
+            bessel_integral(IntegralSpec(mu, ord, gamma, 3.0))
+
+    def test_m_value(self):
+        with pytest.raises(InvalidDomain, match=r"^mu and ord must be finite, got mu=inf"):
+            m_value(math.inf, -0.5, 0, 0.5)
+
+    def test_minus_infinity_is_not_integrable(self):
+        with pytest.raises(InvalidDomain, match="is not integrable at 0"):
+            bessel_integral(IntegralSpec(-math.inf, 0.0, 0.5, 3.0))
+
+    def test_sweep_records_the_checks_inconclusive(self):
+        res = sweep([BoundId.MAIN, BoundId.LOWER1], Grid((math.inf,), (0.5,), (3.0,)))
+        assert res.counts == {"holds": 0, "violated": 0, "inconclusive": 2}
+        for r in res.reports:
+            assert r.verdict is Verdict.INCONCLUSIVE
+            assert r.reason.startswith("InvalidDomain: ")
 
 
 class TestCumulative:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from besselint.bounds import CATALOG, BoundId, Direction, Point, bound_value, row_step
-from besselint import bounds, cli, kernel, oracle
+from besselint import bounds, cli, kernel, oracle, verifier
 from besselint.errors import InvalidDomain, NonConvergence, NotFound
 from besselint.oracle import IntegralSpec, QuadResult, bessel_integral
 from besselint.scaled import ScaledValue
@@ -367,11 +368,13 @@ class TestFlatRecords:
 
     def test_held_result_gives_the_collector_nothing_to_walk(self):
         # every row holds only values the collector untracks (str, float, int, None,
-        # bytes and tuples of these), so a held result keeps a few containers
-        # whatever the grid's size; unpacked columns kept about 6 870 objects here.
-        # After a warm sweep too: rows that held their xs as a tuple stayed tracked
-        grid = replace(default_grid(), gamma_values=(0.0, 0.5))
-        for warm in (False, True):
+        # and bytes), so a held result keeps a few containers whatever the grid's size;
+        # unpacked columns kept about 6 870 objects here.  After a warm sweep too: rows
+        # that held their xs as a tuple stayed tracked.  And on a grid whose checks fail
+        # at x = 2e5 and whose rows skip: a tuple of reasons kept 47 of its 64 rows tracked
+        two_gamma = replace(default_grid(), gamma_values=(0.0, 0.5))
+        failing = Grid((0.0, 1.0), (0.0, 0.5), (1.0, 2e5), mu_values=(0.5, 1.0))
+        for warm, grid in [(False, two_gamma), (True, two_gamma), (False, failing)]:
             if warm:
                 sweep(list(BoundId), grid)
             res = sweep(list(BoundId), grid)
@@ -404,9 +407,7 @@ class TestFlatRecords:
         (IDS, GRID),
         ([BoundId.MAIN], Grid((0.0,), (0.0,), (1.0, 2e5))),  # x = 2e5 fails
         ([BoundId.PROP1], Grid((0.0,), (0.0,), (1.0, 5.0), mu_values=(0.0,))),  # all skipped
-        # nu = -0.75 skips x = 0 and x = 1 for two reasons, nu = 0 only x = 0 for one
-        ([BoundId.MAIN], Grid((-0.75, 0.0), (0.0,), (0.0, 1.0))),
-        ([BoundId.MAIN], Grid((0.0,), (0.0,), (math.nan, 1.0))),  # a NaN x is skipped
+        ([BoundId.MAIN], Grid((-0.75, 0.0), (0.0,), (1.0, 2.0))),  # nu = -0.75 is skipped
     ]
 
     @pytest.mark.parametrize("ids, grid", GRIDS)
@@ -452,6 +453,32 @@ class TestFlatRecords:
             with pytest.raises(InvalidDomain) as skipped:
                 check_point(s.bound, s.point)
             assert str(skipped.value) == f"{s.bound.value}: violated hypothesis: {s.reason}"
+
+    @pytest.mark.parametrize("axis, value", [
+        *((axis, math.nan) for axis in ("nu_values", "n_values", "mu_values", "gamma_values",
+                                        "x_values")),
+        ("x_values", 0.0), ("x_values", -0.0), ("x_values", -1.0)])
+    def test_grid_outside_the_domain_is_refused(self, monkeypatch, axis, value):
+        # as every other verb refuses such an x, before any bound or oracle work
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused grid reached the bounds or the oracle")
+
+        for name in ("cumulative_bessel_integral", "bessel_integral", "row_step"):
+            monkeypatch.setattr(verifier, name, no_work)
+        grid = replace(self.GRID, **{axis: (*getattr(self.GRID, axis), value)})
+        name = axis.removesuffix("_values")
+        with pytest.raises(InvalidDomain, match=rf"^a sweep needs x > 0 and no NaN on an axis "
+                                                rf"\(got {name}={value}\)$"):
+            sweep(list(BoundId), grid)
+        if value <= 0:  # the CLI refuses a NaN as it parses it
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                out = io.StringIO()
+                code = cli.run(["sweep", "--bounds", "main", "--nu", "0", "--gamma", "0",
+                                f"--x={value},1"], out=out)
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue() == ("besselint sweep: InvalidDomain: a sweep needs x > 0 and "
+                                      f"no NaN on an axis (got x={value})\n")
 
     def test_fields_are_read_only(self):
         res = sweep(self.IDS, self.GRID)
